@@ -161,22 +161,6 @@ pub struct TranResult {
 }
 
 impl TranResult {
-    /// Assembles a result from raw sample storage — the batch engine's
-    /// hand-off into the same result type the scalar engine returns.
-    pub(crate) fn from_parts(
-        times: Vec<f64>,
-        voltages: Vec<Vec<f64>>,
-        captured: Option<Vec<NodeId>>,
-        stats: TranStats,
-    ) -> Self {
-        TranResult {
-            times,
-            voltages,
-            captured,
-            stats,
-        }
-    }
-
     /// Simulated time points (strictly increasing, starting at 0).
     pub fn times(&self) -> &[f64] {
         &self.times
@@ -241,9 +225,9 @@ impl Circuit {
     ///
     /// The initial condition is the DC operating point at `t = 0` with all
     /// capacitor currents zero (quiescent start). Every node's waveform is
-    /// recorded; allocates a fresh [`SolverWorkspace`] internally. Batch
-    /// callers should prefer [`Circuit::transient_with`], which reuses a
-    /// workspace across solves and can slim the capture set.
+    /// recorded; allocates a fresh [`SolverWorkspace`] internally. Callers
+    /// running many solves should prefer [`Circuit::transient_with`],
+    /// which reuses a workspace across solves and can slim the capture set.
     ///
     /// # Errors
     ///

@@ -70,11 +70,7 @@ pub use elements::{Element, MosType, Mosfet, MosfetParams, Waveform};
 pub use error::Error;
 pub use export::{to_csv, to_vcd};
 pub use inject::{ArmedFault, FaultKind, FaultPlan};
-pub use solver::batch::{BatchLane, BatchOutcome, BatchWorkspace};
 pub use solver::pattern::{topology_key, PatternMode, StampPattern};
-#[allow(deprecated)]
-pub use solver::sparse::solver_counters;
-pub use solver::sparse::SolverCounters;
 pub use solver::workspace::{SolverMode, SolverWorkspace, SymbolicCache};
 pub use waveform::{propagation_delay, Edge, Polarity, Pulse, Trace};
 

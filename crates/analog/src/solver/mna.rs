@@ -9,7 +9,7 @@ use crate::circuit::{Circuit, NodeId};
 use crate::elements::{Element, MosType, Mosfet, MosfetParams};
 use crate::error::Error;
 use crate::solver::matrix::DenseMatrix;
-use crate::solver::sparse::{global_recorder, SymbolicLu};
+use crate::solver::sparse::SymbolicLu;
 use crate::solver::workspace::{SparseScratch, SysScratch};
 use pulsar_obs::{Counter, Phase, Recorder};
 
@@ -30,10 +30,9 @@ pub(crate) const VSTEP_LIMIT: f64 = 0.6;
 pub(crate) const GMIN_FLOOR: f64 = 1e-12;
 
 /// Books the end of one dense Newton solve: the iteration spend goes to
-/// the process-wide registry (legacy `solver_counters()` view) and the
-/// per-run recorder, which also gets the iterations-per-solve histogram.
+/// the per-run recorder, which also gets the iterations-per-solve
+/// histogram.
 pub(crate) fn dense_solve_done(rec: &Recorder, iters: u64) {
-    global_recorder().add(Counter::DenseIterations, iters);
     rec.add(Counter::DenseIterations, iters);
     rec.newton_solve_done(iters);
 }
@@ -431,12 +430,10 @@ impl<'c, 'w> System<'c, 'w> {
                         sparse, recorder, ..
                     } = &mut *self.scratch;
                     x.copy_from_slice(&sparse.x_save);
-                    global_recorder().add(Counter::DenseFallbacks, 1);
                     recorder.add(Counter::DenseFallbacks, 1);
                 }
             }
         }
-        global_recorder().add(Counter::DenseSolves, 1);
         self.scratch.recorder.add(Counter::DenseSolves, 1);
         let mut iters: u64 = 0;
         for iter in 0..max_iter {
@@ -512,7 +509,6 @@ impl<'c, 'w> System<'c, 'w> {
         max_iter: usize,
         context: &'static str,
     ) -> Option<Result<(), Error>> {
-        global_recorder().add(Counter::SparseSolves, 1);
         self.scratch.recorder.add(Counter::SparseSolves, 1);
         let nn = self.nn;
         let nu = self.nu;
@@ -562,7 +558,6 @@ impl<'c, 'w> System<'c, 'w> {
             let rnorm = sym.residual(a_vals, x, rhs, resid);
             let reuse = jr && *factored && rnorm <= JR_CONTRACTION * last_rnorm;
             if reuse {
-                global_recorder().add(Counter::JacobianReuses, 1);
                 recorder.add(Counter::JacobianReuses, 1);
             } else {
                 let _span = recorder.span(Phase::NumericRefactorize);
@@ -830,7 +825,7 @@ fn sparse_stamp_mosfet(sym: &SymbolicLu, vals: &mut [f64], rhs: &mut [f64], m: &
 }
 
 /// MNA row/column of a node, or `None` for ground. Free-function twin of
-/// [`System::var`] shared with the batch engine.
+/// [`System::var`].
 #[inline]
 pub(crate) fn dense_var(node: NodeId) -> Option<usize> {
     if node.is_ground() {
@@ -849,9 +844,8 @@ pub(crate) fn dense_volt(x: &[f64], node: NodeId) -> f64 {
     }
 }
 
-/// Stamps conductance `g` between `a` and `b`. The single implementation
-/// behind both the scalar [`System`] assembly and the batched engine, so
-/// the two cannot drift apart numerically.
+/// Stamps conductance `g` between `a` and `b` for the [`System`]
+/// assembly.
 #[inline]
 pub(crate) fn dense_stamp_g(matrix: &mut DenseMatrix, a: NodeId, b: NodeId, g: f64) {
     let ia = dense_var(a);
@@ -879,8 +873,8 @@ pub(crate) fn dense_stamp_i(rhs: &mut [f64], into: NodeId, from: NodeId, i: f64)
     }
 }
 
-/// Linearizes and stamps one MOSFET about candidate solution `x`. Shared
-/// by the scalar [`System`] assembly and the batched engine.
+/// Linearizes and stamps one MOSFET about candidate solution `x` for the
+/// [`System`] assembly.
 pub(crate) fn dense_stamp_mosfet(matrix: &mut DenseMatrix, rhs: &mut [f64], m: &Mosfet, x: &[f64]) {
     let vd = dense_volt(x, m.d);
     let vg = dense_volt(x, m.g);

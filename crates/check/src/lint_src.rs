@@ -33,7 +33,6 @@ use std::path::{Path, PathBuf};
 /// in-loop allocation are banned here (rules `SRC0002`–`SRC0004`).
 pub const HOT_PATHS: &[&str] = &[
     "crates/analog/src/solver/mna.rs",
-    "crates/analog/src/solver/batch.rs",
     "crates/analog/src/waveform.rs",
     "crates/mc/src/adaptive.rs",
 ];
