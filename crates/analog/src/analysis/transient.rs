@@ -3,14 +3,15 @@
 //! The engine takes fixed base steps, snaps to waveform breakpoints so
 //! pulse edges are never stepped over, starts each discontinuity with a
 //! backward-Euler step (damping trapezoidal ringing), and integrates with
-//! the trapezoidal rule elsewhere.
+//! the trapezoidal rule elsewhere. A [`StopRule`] may end a run before
+//! its window once the measurement it serves is decided.
 
 use crate::circuit::{Circuit, NodeId};
 use crate::elements::Element;
 use crate::error::Error;
 use crate::solver::mna::{collect_cap_branches, CapState, Method, System};
 use crate::solver::workspace::{SolverWorkspace, SysScratch, TranScratch};
-use crate::waveform::Trace;
+use crate::waveform::{CrossingDetector, Edge, Trace};
 use pulsar_obs::{Counter, Phase};
 
 /// Configuration of a transient run.
@@ -35,7 +36,62 @@ pub struct TranConfig {
     /// instead of stepping indefinitely; the default is far above any
     /// well-posed deck at these time scales.
     pub max_points: usize,
+    /// When the run may end before `stop`; [`StopRule::Window`] (the
+    /// default) always runs to `stop`. Only [`Circuit::transient_with`]
+    /// (and [`Circuit::transient`]) apply it:
+    /// [`Circuit::transient_baseline`] always runs the full window.
+    pub stop_rule: StopRule,
 }
+
+/// When a transient run may end before [`TranConfig::stop`].
+///
+/// The rule is checked once per accepted time point, right after that
+/// point is recorded, and ends the run at the first point where it holds
+/// (that point included). Step control is causal, so every point up to
+/// the stop is bit-identical to the same point of a full-window run; a
+/// rule only drops the tail.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub enum StopRule {
+    /// Run the whole `[0, stop]` window.
+    #[default]
+    Window,
+    /// Stop at the point that completes the first `output_edge` crossing
+    /// of `output` at or after the first `input_edge` crossing of `input`
+    /// at or after `after`, both at `threshold` — the two crossings
+    /// [`crate::propagation_delay`] reads, with the semantics of
+    /// [`Trace::crossings`]. A delay measured on the stopped run is
+    /// therefore bit-identical to one measured on the full window. When
+    /// either crossing never happens the run ends at `stop`.
+    Crossed {
+        /// Node whose crossing starts the measurement.
+        input: NodeId,
+        /// Direction of the input crossing.
+        input_edge: Edge,
+        /// Node whose crossing decides the measurement.
+        output: NodeId,
+        /// Direction of the output crossing.
+        output_edge: Edge,
+        /// Crossing level, volts.
+        threshold: f64,
+        /// Input crossings before this time are ignored, seconds.
+        after: f64,
+    },
+    /// Stop once `t` is past the last source breakpoint and every node
+    /// voltage has stayed within 1 mV of its `t = 0` (DC) value for at
+    /// least 100 ps. Meant for stimuli that return to their `t = 0` level,
+    /// where that level is also the final one: a pulse measurement on the
+    /// stopped run matches the full window as long as a settled circuit
+    /// never leaves its rest level again.
+    Settled,
+}
+
+/// Voltage band around a node's `t = 0` value inside which
+/// [`StopRule::Settled`] counts it as settled, volts.
+const SETTLE_TOL: f64 = 1e-3;
+
+/// How long every node must stay settled before [`StopRule::Settled`]
+/// ends a run, seconds.
+const SETTLE_GUARD: f64 = 100e-12;
 
 /// Companion-model integration method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -60,6 +116,7 @@ impl TranConfig {
             adaptive: false,
             lte_tol: 2e-3,
             max_points: 5_000_000,
+            stop_rule: StopRule::Window,
         }
     }
 
@@ -107,7 +164,108 @@ impl TranConfig {
                 reason: "max_points must allow at least two time points",
             });
         }
+        if let StopRule::Crossed {
+            threshold, after, ..
+        } = self.stop_rule
+        {
+            if !(threshold.is_finite() && after.is_finite()) {
+                return Err(Error::InvalidTranConfig {
+                    reason: "crossing stop rule needs a finite threshold and start",
+                });
+            }
+        }
         Ok(())
+    }
+}
+
+/// Per-run state of a [`StopRule`].
+enum StopState {
+    Window,
+    Crossed {
+        input: NodeId,
+        output: NodeId,
+        after: f64,
+        input_det: CrossingDetector,
+        output_det: CrossingDetector,
+        /// First input crossing at or after `after`, once seen.
+        t_in: Option<f64>,
+        /// Latest output crossing. Crossings come in time order, so some
+        /// output crossing is at or after `t_in` iff this one is.
+        t_out: Option<f64>,
+    },
+    Settled {
+        last_breakpoint: f64,
+        /// Time of the first point of the current in-band run.
+        quiet_since: Option<f64>,
+    },
+}
+
+impl StopState {
+    fn new(rule: StopRule, breakpoints: &[f64]) -> Self {
+        match rule {
+            StopRule::Window => StopState::Window,
+            StopRule::Crossed {
+                input,
+                input_edge,
+                output,
+                output_edge,
+                threshold,
+                after,
+            } => StopState::Crossed {
+                input,
+                output,
+                after,
+                input_det: CrossingDetector::new(threshold, input_edge),
+                output_det: CrossingDetector::new(threshold, output_edge),
+                t_in: None,
+                t_out: None,
+            },
+            StopRule::Settled => StopState::Settled {
+                last_breakpoint: breakpoints.last().copied().unwrap_or(0.0),
+                quiet_since: None,
+            },
+        }
+    }
+
+    /// Observes the accepted point `(t, x)`; true when the run is decided.
+    /// `rest` holds the `t = 0` solution (read only by `Settled`).
+    fn decided(&mut self, t: f64, x: &[f64], rest: &[f64]) -> bool {
+        match self {
+            StopState::Window => false,
+            StopState::Crossed {
+                input,
+                output,
+                after,
+                input_det,
+                output_det,
+                t_in,
+                t_out,
+            } => {
+                if let Some(c) = input_det.push(t, System::node_voltage(x, *input)) {
+                    if t_in.is_none() && c >= *after {
+                        *t_in = Some(c);
+                    }
+                }
+                if let Some(c) = output_det.push(t, System::node_voltage(x, *output)) {
+                    *t_out = Some(c);
+                }
+                matches!((*t_in, *t_out), (Some(i), Some(o)) if o >= i)
+            }
+            StopState::Settled {
+                last_breakpoint,
+                quiet_since,
+            } => {
+                let in_band = t > *last_breakpoint
+                    && x.iter()
+                        .zip(rest)
+                        .all(|(v, v0)| (v - v0).abs() <= SETTLE_TOL);
+                if !in_band {
+                    *quiet_since = None;
+                    return false;
+                }
+                t - *quiet_since.get_or_insert(t) >= SETTLE_GUARD
+            }
+        }
     }
 }
 
@@ -262,6 +420,13 @@ impl Circuit {
         capture: &TraceCapture,
     ) -> Result<TranResult, Error> {
         cfg.validate()?;
+        if let StopRule::Crossed { input, output, .. } = cfg.stop_rule {
+            if input.index() >= self.node_count() || output.index() >= self.node_count() {
+                return Err(Error::InvalidTranConfig {
+                    reason: "crossing stop rule names a node outside the circuit",
+                });
+            }
+        }
 
         // Resolve the capture policy into a column → node map.
         let captured: Option<Vec<NodeId>> = match capture {
@@ -296,6 +461,7 @@ impl Circuit {
             x,
             xn,
             x_prev,
+            x_rest,
         } = tran;
 
         // Initial condition: DC operating point into the workspace buffer.
@@ -346,6 +512,13 @@ impl Circuit {
             }
         };
         record(0.0, x, &mut times, &mut voltages);
+        let nn = self.node_count() - 1;
+        x_rest.clear();
+        if cfg.stop_rule == StopRule::Settled {
+            x_rest.extend_from_slice(&x[..nn]);
+        }
+        let mut stop = StopState::new(cfg.stop_rule, breakpoints);
+        let mut decided = stop.decided(0.0, x, x_rest);
 
         let mut stats = TranStats::default();
         let mut t = 0.0;
@@ -364,12 +537,11 @@ impl Circuit {
         };
         let mut have_prev = false;
         let mut h_prev = 0.0_f64;
-        let nn = self.node_count() - 1;
 
         // Counters are bumped as the loop goes (not once at the end), so a
         // run that dies on the step budget still journals its true spend.
         let _step_span = rec.span(Phase::TransientStepLoop);
-        while t < cfg.stop - 1e-18 {
+        while !decided && t < cfg.stop - 1e-18 {
             // Step budget: another point is needed but the budget is spent.
             if times.len() >= cfg.max_points {
                 return Err(Error::StepBudgetExhausted {
@@ -507,6 +679,7 @@ impl Circuit {
             record(t, x, &mut times, &mut voltages);
             rec.add(Counter::StepsAccepted, 1);
             after_discontinuity = hit_bp && (sub_t - tn).abs() < 1e-18;
+            decided = stop.decided(t, x, x_rest);
         }
 
         stats.accepted_points = times.len();
@@ -1095,6 +1268,107 @@ mod tests {
             assert_eq!(fresh.times(), res.times());
             assert_eq!(fresh.trace(out).values(), res.trace(out).values());
         }
+    }
+
+    /// Asserts `early` is a strict, bit-identical prefix of `full`.
+    fn assert_prefix(early: &TranResult, full: &TranResult, node: NodeId) {
+        let n = early.len();
+        assert!(n < full.len(), "rule did not stop early: {n} points");
+        assert_eq!(early.times(), &full.times()[..n]);
+        assert_eq!(early.trace(node).values(), &full.trace(node).values()[..n]);
+    }
+
+    #[test]
+    fn crossed_rule_stops_at_the_completing_point() {
+        let (ckt, vin, out) = rc_deck();
+        let full_cfg = TranConfig::new(5e-12, 6e-9);
+        let cfg = TranConfig {
+            stop_rule: StopRule::Crossed {
+                input: vin,
+                input_edge: Edge::Rising,
+                output: out,
+                output_edge: Edge::Rising,
+                threshold: 0.5,
+                after: 0.0,
+            },
+            ..full_cfg.clone()
+        };
+        let full = ckt.transient(&full_cfg).unwrap();
+        let early = ckt.transient(&cfg).unwrap();
+        assert_prefix(&early, &full, out);
+        // The last point is the first one strictly past the threshold.
+        let v = early.trace(out).values();
+        assert!(v[v.len() - 1] > 0.5 && v[v.len() - 2] <= 0.5);
+        let delay = |r: &TranResult| {
+            crate::waveform::propagation_delay(
+                &r.trace(vin),
+                Edge::Rising,
+                &r.trace(out),
+                Edge::Rising,
+                0.5,
+                0.0,
+            )
+            .map(f64::to_bits)
+        };
+        assert!(delay(&full).is_some());
+        assert_eq!(delay(&early), delay(&full));
+    }
+
+    #[test]
+    fn settled_rule_waits_for_the_last_breakpoint_and_the_guard() {
+        let mut ckt = Circuit::new();
+        let vin = ckt.node("in");
+        let out = ckt.node("out");
+        ckt.vsource(
+            vin,
+            Circuit::GROUND,
+            Waveform::single_pulse(0.0, 1.0, 1e-9, 50e-12, 50e-12, 1e-9),
+        );
+        ckt.resistor(vin, out, 1e3);
+        ckt.capacitor(out, Circuit::GROUND, 0.2e-12);
+        let full_cfg = TranConfig::new(10e-12, 8e-9);
+        let cfg = TranConfig {
+            stop_rule: StopRule::Settled,
+            ..full_cfg.clone()
+        };
+        let full = ckt.transient(&full_cfg).unwrap();
+        let early = ckt.transient(&cfg).unwrap();
+        assert_prefix(&early, &full, out);
+        let t_end = *early.times().last().unwrap();
+        assert!(
+            t_end > 2.1e-9 + SETTLE_GUARD,
+            "stopped inside the pulse at {t_end:e}"
+        );
+        assert!(early.trace(out).last_value().abs() <= SETTLE_TOL);
+        let w = |r: &TranResult| {
+            r.trace(out)
+                .widest_pulse_width(0.5, crate::waveform::Polarity::PositiveGoing)
+                .to_bits()
+        };
+        assert_eq!(w(&early), w(&full));
+    }
+
+    #[test]
+    fn invalid_stop_rules_are_rejected() {
+        let (ckt, vin, _) = rc_deck();
+        let base = TranConfig::new(5e-12, 1e-9);
+        let crossed = |output: NodeId, threshold: f64| TranConfig {
+            stop_rule: StopRule::Crossed {
+                input: vin,
+                input_edge: Edge::Rising,
+                output,
+                output_edge: Edge::Rising,
+                threshold,
+                after: 0.0,
+            },
+            ..base.clone()
+        };
+        assert!(ckt.transient(&crossed(NodeId(99), 0.5)).is_err());
+        assert!(ckt.transient(&crossed(vin, f64::INFINITY)).is_err());
+        // The baseline engine ignores the rule and runs the full window.
+        let full = ckt.transient(&base).unwrap();
+        let base_run = ckt.transient_baseline(&crossed(vin, 0.5)).unwrap();
+        assert_eq!(base_run.times(), full.times());
     }
 
     #[test]

@@ -261,6 +261,8 @@ pub(crate) struct TranScratch {
     pub xn: Vec<f64>,
     /// Solution at the previously *accepted* point, for the LTE predictor.
     pub x_prev: Vec<f64>,
+    /// Node voltages at `t = 0`, kept only for a settle stop rule.
+    pub x_rest: Vec<f64>,
 }
 
 /// Reusable scratch memory for repeated solves of the same (or similar)

@@ -170,59 +170,12 @@ impl<'a> Trace<'a> {
     /// Rising and falling crossings of one threshold always strictly
     /// alternate; pulse pairing in [`Trace::pulses`] relies on this.
     pub fn crossings(&self, threshold: f64, edge: Edge) -> Vec<f64> {
-        // Side of a sample: None while exactly at the threshold.
-        let side = |v: f64| -> Option<bool> {
-            if v > threshold {
-                Some(true)
-            } else if v < threshold {
-                Some(false)
-            } else {
-                None
-            }
-        };
-
-        let mut out = Vec::new();
-        // Last known strict side, and the index of the sample that set it.
-        let mut state = side(self.v[0]);
-        let mut last_off = 0usize;
-        for i in 1..self.t.len() {
-            let Some(above) = side(self.v[i]) else {
-                // Exactly at the threshold: hold the previous side.
-                continue;
-            };
-            match state {
-                None => {
-                    // Leading at-threshold run: establishes the side only.
-                    state = Some(above);
-                    last_off = i;
-                }
-                Some(prev) if prev != above => {
-                    // Strict side change. Since the samples between
-                    // `last_off` and `i` (if any) sit exactly on the
-                    // threshold, the signal first reaches the threshold in
-                    // the segment right after `last_off`.
-                    let wanted = match edge {
-                        Edge::Rising => above,
-                        Edge::Falling => !above,
-                    };
-                    if wanted {
-                        let (t0, t1) = (self.t[last_off], self.t[last_off + 1]);
-                        let (v0, v1) = (self.v[last_off], self.v[last_off + 1]);
-                        // v0 is strictly off-threshold and v1 is at or
-                        // beyond it, so v1 != v0; the clamp only guards
-                        // against float round-off on extreme segments.
-                        let f = ((threshold - v0) / (v1 - v0)).clamp(0.0, 1.0);
-                        out.push(t0 + f * (t1 - t0));
-                    }
-                    state = Some(above);
-                    last_off = i;
-                }
-                Some(_) => {
-                    last_off = i;
-                }
-            }
-        }
-        out
+        let mut det = CrossingDetector::new(threshold, edge);
+        self.t
+            .iter()
+            .zip(self.v)
+            .filter_map(|(&t, &v)| det.push(t, v))
+            .collect()
     }
 
     /// First crossing of `threshold` with direction `edge` at or after
@@ -341,6 +294,86 @@ impl<'a> Trace<'a> {
             Polarity::PositiveGoing => self.max_value() - rest,
             Polarity::NegativeGoing => rest - self.min_value(),
         }
+    }
+}
+
+/// Streaming form of the crossing rule documented on [`Trace::crossings`]
+/// (which is built on it): feed samples in time order and each crossing
+/// of the chosen edge comes back from the [`CrossingDetector::push`] of
+/// the sample that completes it — the first sample strictly on the far
+/// side. The transient engine runs one per watched node to stop a run
+/// the moment a crossing is decided.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct CrossingDetector {
+    threshold: f64,
+    edge: Edge,
+    started: bool,
+    /// Last known strict side (`Some(true)` = above); `None` while the
+    /// trace has only sat exactly on the threshold.
+    side: Option<bool>,
+    /// The last sample that set `side` (the first sample, until one does).
+    off: (f64, f64),
+    /// The sample right after `off`: the segment a crossing interpolates
+    /// in, since everything between `off` and the completing sample sits
+    /// exactly on the threshold.
+    seg_end: Option<(f64, f64)>,
+}
+
+impl CrossingDetector {
+    pub(crate) fn new(threshold: f64, edge: Edge) -> Self {
+        CrossingDetector {
+            threshold,
+            edge,
+            started: false,
+            side: None,
+            off: (0.0, 0.0),
+            seg_end: None,
+        }
+    }
+
+    fn side_of(&self, v: f64) -> Option<bool> {
+        if v > self.threshold {
+            Some(true)
+        } else if v < self.threshold {
+            Some(false)
+        } else {
+            None
+        }
+    }
+
+    /// Feeds the next sample; returns the interpolated crossing time when
+    /// this sample completes a crossing of the detector's edge.
+    pub(crate) fn push(&mut self, t: f64, v: f64) -> Option<f64> {
+        if !self.started {
+            self.started = true;
+            self.side = self.side_of(v);
+            self.off = (t, v);
+            return None;
+        }
+        let (t0, v0) = self.off;
+        let (t1, v1) = *self.seg_end.get_or_insert((t, v));
+        // Exactly at the threshold: hold the previous side.
+        let above = self.side_of(v)?;
+        let mut crossing = None;
+        if self.side.is_some_and(|prev| prev != above) {
+            let wanted = match self.edge {
+                Edge::Rising => above,
+                Edge::Falling => !above,
+            };
+            if wanted {
+                // v0 is strictly off-threshold and v1 is at or beyond it,
+                // so v1 != v0; the clamp only guards against float
+                // round-off on extreme segments.
+                let f = ((self.threshold - v0) / (v1 - v0)).clamp(0.0, 1.0);
+                crossing = Some(t0 + f * (t1 - t0));
+            }
+        }
+        // A leading at-threshold run ends here too: it establishes the
+        // side without a crossing.
+        self.side = Some(above);
+        self.off = (t, v);
+        self.seg_end = None;
+        crossing
     }
 }
 

@@ -94,7 +94,7 @@ use pulsar_serve::{
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Counts heap allocations (alloc + realloc calls) as an allocation-rate
 /// proxy; timing-neutral enough for a relative comparison since both
@@ -145,29 +145,70 @@ fn allocs_per_op(mut f: impl FnMut()) -> u64 {
 /// `iters` rounds and returns the medians. Interleaving is what makes the
 /// ratio trustworthy on a drifting shared host: both engines sample the
 /// same machine-speed trajectory.
-fn measure_pair(iters: usize, mut baseline: impl FnMut(), mut reuse: impl FnMut()) -> KernelResult {
-    assert!(iters >= 1);
+fn measure_pair(iters: usize, baseline: impl FnMut(), reuse: impl FnMut()) -> KernelResult {
+    measure_pair_spanned(iters, Duration::ZERO, baseline, reuse)
+}
+
+/// [`measure_pair`] for ops too short to time alone: see
+/// [`measure_spanned`].
+fn measure_pair_spanned(
+    iters: usize,
+    span: Duration,
+    mut baseline: impl FnMut(),
+    mut reuse: impl FnMut(),
+) -> KernelResult {
     // Warm-up round: page in code, fill the workspace buffers.
     baseline();
     reuse();
     let baseline_allocs = allocs_per_op(&mut baseline);
     let reuse_allocs = allocs_per_op(&mut reuse);
-    let mut bns = Vec::with_capacity(iters);
-    let mut rns = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t = Instant::now();
-        baseline();
-        bns.push(t.elapsed().as_nanos() as u64);
-        let t = Instant::now();
-        reuse();
-        rns.push(t.elapsed().as_nanos() as u64);
-    }
+    let ns = measure_spanned(iters, span, &mut [&mut baseline, &mut reuse]);
     KernelResult {
-        baseline_ns: median(bns),
+        baseline_ns: ns[0],
         baseline_allocs,
-        reuse_ns: median(rns),
+        reuse_ns: ns[1],
         reuse_allocs,
     }
+}
+
+/// Times `arms` interleaved (one op of each per turn, in order) for
+/// `iters` rounds and returns each arm's median ns/op. For ops too short
+/// to time alone, a nonzero `span` makes each round repeat the turn until
+/// every arm spans about `span` (sized on the first arm), recording the
+/// per-op mean.
+fn measure_spanned(iters: usize, span: Duration, arms: &mut [&mut dyn FnMut()]) -> Vec<u64> {
+    assert!(iters >= 1 && !arms.is_empty());
+    let reps = reps_to_span(span, &mut *arms[0]);
+    let mut ns = vec![Vec::with_capacity(iters); arms.len()];
+    for _ in 0..iters {
+        let mut sums = vec![0; arms.len()];
+        for _ in 0..reps {
+            for (sum, arm) in sums.iter_mut().zip(arms.iter_mut()) {
+                *sum += time_op(&mut **arm);
+            }
+        }
+        for (arm_ns, sum) in ns.iter_mut().zip(sums) {
+            arm_ns.push(sum / reps);
+        }
+    }
+    ns.into_iter().map(median).collect()
+}
+
+/// Wall time of one call of `op`, nanoseconds.
+fn time_op(op: &mut dyn FnMut()) -> u64 {
+    let t = Instant::now();
+    op();
+    t.elapsed().as_nanos() as u64
+}
+
+/// How many calls of `op` (timed once here) fill `span`; 1 for a zero
+/// span.
+fn reps_to_span(span: Duration, op: &mut dyn FnMut()) -> u64 {
+    if span.is_zero() {
+        return 1;
+    }
+    let once = u128::from(time_op(op)).max(1);
+    (span.as_nanos() / once).max(1) as u64
 }
 
 fn bits(outcome: &PulseOutcome) -> (u64, u64, Vec<u64>) {
@@ -188,6 +229,11 @@ const SWEEP: [f64; 4] = [1e3, 3e3, 8e3, 20e3];
 /// convergence ball; the resulting vdd/2 crossing shift is well under a
 /// picosecond (see `crates/analog/tests/sparse_solver.rs`).
 const TOL_WIDTH: f64 = 2e-12;
+
+/// Minimum wall time of one timed arm in the overhead kernels (6 and 7):
+/// their ops are small MC points, too short to time alone against
+/// scheduler noise on a shared machine.
+const OVERHEAD_ARM_SPAN: Duration = Duration::from_millis(65);
 
 struct KernelResult {
     baseline_ns: u64,
@@ -236,7 +282,9 @@ fn single_transient(put: &PathUnderTest, iters: usize) -> KernelResult {
 /// Kernel 2: one transfer-curve point — set the defect resistance, run the
 /// pulse — cycling through a resistance sweep so the workspace amortizes.
 /// Also times the opt-in DC warm start (tolerance-equal, not bit-equal,
-/// so it is compared within solver tolerance instead).
+/// so it is compared within solver tolerance instead). Every arm runs the
+/// full window; the early stop studies run is asserted bit-identical to
+/// it but not timed.
 fn transfer_point(put: &PathUnderTest, iters: usize) -> (KernelResult, u64, f64) {
     let mut base = put.instantiate_nominal(SWEEP[0]);
     base.built_path().set_workspace_reuse(false);
@@ -247,17 +295,24 @@ fn transfer_point(put: &PathUnderTest, iters: usize) -> (KernelResult, u64, f64)
     let point = |p: &mut pulsar_core::AnalogPath, k: usize| {
         let r = SWEEP[k % SWEEP.len()];
         p.set_resistance(r).expect("sweep resistance");
-        p.pulse_width_out(W_IN, Polarity::PositiveGoing)
-            .expect("sweep point")
+        width_full_window(p, W_IN)
     };
     for k in 0..SWEEP.len() {
         let wb = point(&mut base, k);
         let wf = point(&mut fast, k);
         let ww = point(&mut warm, k);
+        let early = fast
+            .pulse_width_out(W_IN, Polarity::PositiveGoing)
+            .expect("sweep point");
         assert_eq!(
             wb.to_bits(),
             wf.to_bits(),
             "engines disagree on transfer point {k}"
+        );
+        assert_eq!(
+            wb.to_bits(),
+            early.to_bits(),
+            "early stop disagrees with the full window on transfer point {k}"
         );
         assert!(
             (ww - wb).abs() < 2e-12,
@@ -276,35 +331,56 @@ fn transfer_point(put: &PathUnderTest, iters: usize) -> (KernelResult, u64, f64)
         point(&mut fast, kf);
         kf += 1;
     });
-    let mut bns = Vec::with_capacity(iters);
-    let mut rns = Vec::with_capacity(iters);
-    let mut wns = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t = Instant::now();
-        point(&mut base, kb);
-        kb += 1;
-        bns.push(t.elapsed().as_nanos() as u64);
-        let t = Instant::now();
-        point(&mut fast, kf);
-        kf += 1;
-        rns.push(t.elapsed().as_nanos() as u64);
-        let t = Instant::now();
-        point(&mut warm, kw);
-        kw += 1;
-        wns.push(t.elapsed().as_nanos() as u64);
-    }
-    let baseline_ns = median(bns);
-    let warm_ns = median(wns);
+    let ns = measure_spanned(
+        iters,
+        Duration::ZERO,
+        &mut [
+            &mut || {
+                point(&mut base, kb);
+                kb += 1;
+            },
+            &mut || {
+                point(&mut fast, kf);
+                kf += 1;
+            },
+            &mut || {
+                point(&mut warm, kw);
+                kw += 1;
+            },
+        ],
+    );
+    let (baseline_ns, warm_ns) = (ns[0], ns[2]);
     (
         KernelResult {
             baseline_ns,
             baseline_allocs,
-            reuse_ns: median(rns),
+            reuse_ns: ns[1],
             reuse_allocs,
         },
         warm_ns,
         baseline_ns as f64 / warm_ns as f64,
     )
+}
+
+/// Engine and window of one [`mc_point`] run.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum PointArm {
+    /// The preserved baseline engine; it always runs the full window.
+    Baseline,
+    /// The workspace engine with the early stop studies run.
+    Reuse,
+    /// The workspace engine over the same full window as `Baseline`, so
+    /// a timing against `Baseline` compares the engines alone.
+    ReuseFullWindow,
+}
+
+/// Output width of a positive pulse of `w_in` over the path's full default
+/// window (no early stop).
+fn width_full_window(p: &mut pulsar_core::AnalogPath, w_in: f64) -> f64 {
+    let cfg = p.built_path().default_config(w_in);
+    p.built_path()
+        .pulse_width_only(w_in, Polarity::PositiveGoing, Some(&cfg))
+        .expect("full-window pulse")
 }
 
 /// One Monte Carlo coverage-point run: `samples` instances of the path at
@@ -315,7 +391,7 @@ fn mc_point(
     variation: &VariationModel,
     samples: usize,
     threads: usize,
-    reuse: bool,
+    arm: PointArm,
 ) -> Vec<f64> {
     MonteCarlo::new(samples, 2007)
         .with_threads(threads)
@@ -323,10 +399,13 @@ fn mc_point(
             let techs = variation.sample_techs(&put.tech, put.spec.len(), rng);
             let gen_factor = variation.sample_sensor(1.0, rng);
             let mut p = put.instantiate(&techs, R_POINT);
-            if !reuse {
-                p.built_path().set_workspace_reuse(false);
+            let w_in = W_IN * gen_factor;
+            match arm {
+                PointArm::Baseline => p.built_path().set_workspace_reuse(false),
+                PointArm::Reuse => {}
+                PointArm::ReuseFullWindow => return width_full_window(&mut p, w_in),
             }
-            p.pulse_width_out(W_IN * gen_factor, Polarity::PositiveGoing)
+            p.pulse_width_out(w_in, Polarity::PositiveGoing)
                 .expect("mc sample")
         })
 }
@@ -338,7 +417,8 @@ struct McThreadResult {
 
 /// Kernel 3: the 64-sample coverage point at each thread count, baseline
 /// vs reuse, with every sample's output width asserted bit-identical
-/// across engines *and* across thread counts.
+/// across engines, windows *and* thread counts. Both timed arms run the
+/// full window, so the ratio measures the engine, not the early stop.
 fn mc_coverage_point(
     put: &PathUnderTest,
     variation: &VariationModel,
@@ -346,27 +426,28 @@ fn mc_coverage_point(
     thread_counts: &[usize],
     iters: usize,
 ) -> Vec<McThreadResult> {
-    let reference = mc_point(put, variation, samples, 1, true);
+    let reference = mc_point(put, variation, samples, 1, PointArm::Reuse);
     let ref_bits: Vec<u64> = reference.iter().map(|w| w.to_bits()).collect();
 
     thread_counts
         .iter()
         .map(|&t| {
-            for reuse in [false, true] {
-                let wouts = mc_point(put, variation, samples, t, reuse);
+            for arm in [
+                PointArm::Baseline,
+                PointArm::Reuse,
+                PointArm::ReuseFullWindow,
+            ] {
+                let wouts = mc_point(put, variation, samples, t, arm);
                 let got: Vec<u64> = wouts.iter().map(|w| w.to_bits()).collect();
-                assert_eq!(
-                    ref_bits, got,
-                    "mc kernel diverged (threads={t}, reuse={reuse})"
-                );
+                assert_eq!(ref_bits, got, "mc kernel diverged (threads={t}, {arm:?})");
             }
             let result = measure_pair(
                 iters,
                 || {
-                    mc_point(put, variation, samples, t, false);
+                    mc_point(put, variation, samples, t, PointArm::Baseline);
                 },
                 || {
-                    mc_point(put, variation, samples, t, true);
+                    mc_point(put, variation, samples, t, PointArm::ReuseFullWindow);
                 },
             );
             McThreadResult { threads: t, result }
@@ -664,7 +745,7 @@ fn obs_overhead(
     samples: usize,
     iters: usize,
 ) -> ObsOverheadResult {
-    let plain = mc_point(put, variation, samples, 1, true);
+    let plain = mc_point(put, variation, samples, 1, PointArm::Reuse);
     let disabled = mc_point_obs(put, variation, samples, &Recorder::disabled());
     let live = Recorder::enabled();
     let enabled = mc_point_obs(put, variation, samples, &live);
@@ -686,7 +767,7 @@ fn obs_overhead(
     );
 
     let mut run_plain = || {
-        mc_point(put, variation, samples, 1, true);
+        mc_point(put, variation, samples, 1, PointArm::Reuse);
     };
     let mut run_disabled = || {
         mc_point_obs(put, variation, samples, &Recorder::disabled());
@@ -701,26 +782,17 @@ fn obs_overhead(
     let plain_allocs = allocs_per_op(&mut run_plain);
     let disabled_allocs = allocs_per_op(&mut run_disabled);
     let enabled_allocs = allocs_per_op(&mut run_enabled);
-    let mut pns = Vec::with_capacity(iters);
-    let mut dns = Vec::with_capacity(iters);
-    let mut ens = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t = Instant::now();
-        run_plain();
-        pns.push(t.elapsed().as_nanos() as u64);
-        let t = Instant::now();
-        run_disabled();
-        dns.push(t.elapsed().as_nanos() as u64);
-        let t = Instant::now();
-        run_enabled();
-        ens.push(t.elapsed().as_nanos() as u64);
-    }
+    let ns = measure_spanned(
+        iters,
+        OVERHEAD_ARM_SPAN,
+        &mut [&mut run_plain, &mut run_disabled, &mut run_enabled],
+    );
     ObsOverheadResult {
-        plain_ns: median(pns),
+        plain_ns: ns[0],
         plain_allocs,
-        disabled_ns: median(dns),
+        disabled_ns: ns[1],
         disabled_allocs,
-        enabled_ns: median(ens),
+        enabled_ns: ns[2],
         enabled_allocs,
     }
 }
@@ -839,7 +911,7 @@ fn checkpoint_overhead(
         wouts
     };
 
-    let plain = mc_point(put, variation, samples, 1, true);
+    let plain = mc_point(put, variation, samples, 1, PointArm::Reuse);
     let off = durable_mc_point(&mc, put, variation, None);
     let on = ckpt_op();
     let plain_bits: Vec<u64> = plain.iter().map(|w| w.to_bits()).collect();
@@ -851,8 +923,9 @@ fn checkpoint_overhead(
     );
     assert_eq!(off_bits, on_bits, "checkpointing changed the MC results");
 
-    measure_pair(
+    measure_pair_spanned(
         iters,
+        OVERHEAD_ARM_SPAN,
         || {
             durable_mc_point(&mc, put, variation, None);
         },

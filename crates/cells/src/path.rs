@@ -16,7 +16,8 @@ use crate::gates::{CellKind, CmosBuilder, RopSite};
 use crate::tech::Tech;
 use pulsar_analog::{
     propagation_delay, CancelToken, Circuit, Edge, Error, Integrator, NodeId, Polarity, Recorder,
-    SolverMode, SolverWorkspace, SymbolicCache, TraceCapture, TranConfig, TranResult, Waveform,
+    SolverMode, SolverWorkspace, StopRule, SymbolicCache, TraceCapture, TranConfig, TranResult,
+    Waveform,
 };
 
 /// Structural description of a path: the gate chain plus per-stage extra
@@ -798,7 +799,7 @@ impl BuiltPath {
             CapturePolicy::StageOutputs => TraceCapture::Nodes(self.stage_outputs.clone()),
             CapturePolicy::MeasurementsOnly => TraceCapture::Nodes(vec![self.output()]),
         };
-        let (outcome, _) = self.pulse_run(w_in, polarity, cfg, &capture)?;
+        let (outcome, _) = self.pulse_run(w_in, polarity, cfg, StopRule::Window, &capture)?;
         Ok(outcome)
     }
 
@@ -806,6 +807,16 @@ impl BuiltPath {
     /// [`CapturePolicy::MeasurementsOnly`] (regardless of the configured
     /// policy), returning just the output pulse width. This is what
     /// Monte Carlo width studies run per sample.
+    ///
+    /// With `cfg = None` the default window ends early under
+    /// [`StopRule::Settled`]: once the input pulse is over and every node
+    /// has stayed within 1 mV of its `t = 0` level for 100 ps. When the
+    /// full-window run succeeds, the width is bit-identical to its width
+    /// as long as a settled circuit never crosses `vdd/2` again. A
+    /// full-window run that would fail in the dropped tail (e.g.
+    /// [`Error::NoConvergence`]) is not reproduced: the stopped run
+    /// succeeds with the prefix's width. A caller-supplied `cfg` runs with
+    /// its own [`TranConfig::stop_rule`].
     ///
     /// # Errors
     ///
@@ -817,7 +828,7 @@ impl BuiltPath {
         cfg: Option<&TranConfig>,
     ) -> Result<f64, Error> {
         let capture = TraceCapture::Nodes(vec![self.output()]);
-        let (outcome, _) = self.pulse_run(w_in, polarity, cfg, &capture)?;
+        let (outcome, _) = self.pulse_run(w_in, polarity, cfg, StopRule::Settled, &capture)?;
         Ok(outcome.output_width)
     }
 
@@ -834,17 +845,19 @@ impl BuiltPath {
         polarity: Polarity,
         cfg: Option<&TranConfig>,
     ) -> Result<(PulseOutcome, TranResult), Error> {
-        self.pulse_run(w_in, polarity, cfg, &TraceCapture::All)
+        self.pulse_run(w_in, polarity, cfg, StopRule::Window, &TraceCapture::All)
     }
 
     /// Shared pulse-propagation engine behind [`BuiltPath::propagate_pulse`]
-    /// (stage-output capture) and [`BuiltPath::propagate_pulse_traced`]
-    /// (full capture).
+    /// (stage-output capture), [`BuiltPath::pulse_width_only`] (output
+    /// only) and [`BuiltPath::propagate_pulse_traced`] (full capture).
+    /// `stop_rule` applies to the default window only.
     fn pulse_run(
         &mut self,
         w_in: f64,
         polarity: Polarity,
         cfg: Option<&TranConfig>,
+        stop_rule: StopRule,
         capture: &TraceCapture,
     ) -> Result<(PulseOutcome, TranResult), Error> {
         if !(w_in.is_finite() && w_in > 0.0) {
@@ -861,7 +874,10 @@ impl BuiltPath {
         let wave = pulse_wave(rest, delta, self.t_start, self.input_edge, w_in);
         self.circuit.set_vsource_wave(self.input_src, wave)?;
 
-        let cfg_default = self.default_cfg(w_in);
+        let cfg_default = TranConfig {
+            stop_rule,
+            ..self.default_cfg(w_in)
+        };
         let cfg = cfg.unwrap_or(&cfg_default);
         let res = self.sim(cfg, capture)?;
 
@@ -895,6 +911,16 @@ impl BuiltPath {
     /// Applies a single input transition and measures the propagation
     /// delay to the output at `vdd/2`.
     ///
+    /// With `cfg = None` the default window ends early under
+    /// [`StopRule::Crossed`]: at the point that completes the output
+    /// crossing the delay is measured to, so the delay is bit-identical
+    /// to the full window's whenever the full-window run succeeds. A
+    /// full-window run that would fail after that point (e.g.
+    /// [`Error::NoConvergence`]) is not reproduced: the stopped run
+    /// succeeds with the delay. A swallowed transition still runs to the
+    /// window's end. A caller-supplied `cfg` runs with its own
+    /// [`TranConfig::stop_rule`].
+    ///
     /// # Errors
     ///
     /// Propagates simulator errors.
@@ -912,28 +938,32 @@ impl BuiltPath {
             Waveform::step(v1, v2, self.t_start, self.input_edge),
         )?;
 
-        let cfg_default = self.default_cfg(0.0);
-        let cfg = cfg.unwrap_or(&cfg_default);
-        // The delay measurement reads only the input and output traces.
-        let capture = TraceCapture::Nodes(vec![self.input, self.output()]);
-        let res = self.sim(cfg, &capture)?;
-
         let output_edge = if self.inverts {
             input_edge.inverted()
         } else {
             input_edge
         };
         let vth = self.vdd / 2.0;
+        let after = self.t_start * 0.5;
+        let cfg_default = TranConfig {
+            stop_rule: StopRule::Crossed {
+                input: self.input,
+                input_edge,
+                output: self.output(),
+                output_edge,
+                threshold: vth,
+                after,
+            },
+            ..self.default_cfg(0.0)
+        };
+        let cfg = cfg.unwrap_or(&cfg_default);
+        // The delay measurement reads only the input and output traces.
+        let capture = TraceCapture::Nodes(vec![self.input, self.output()]);
+        let res = self.sim(cfg, &capture)?;
+
         let tin = res.trace(self.input);
         let tout = res.trace(self.output());
-        let delay = propagation_delay(
-            &tin,
-            input_edge,
-            &tout,
-            output_edge,
-            vth,
-            self.t_start * 0.5,
-        );
+        let delay = propagation_delay(&tin, input_edge, &tout, output_edge, vth, after);
         Ok(TransitionOutcome { delay, output_edge })
     }
 }

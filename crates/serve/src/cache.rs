@@ -71,9 +71,10 @@ impl<T: Clone> DigestCache<T> {
         Arc::clone(map.entry(key).or_insert_with(|| Arc::new(Slot::new())))
     }
 
-    /// The published value for `key`, without blocking or filling.
+    /// The published value for `key`, without blocking or filling. A miss
+    /// leaves the cache untouched.
     pub fn lookup(&self, key: u64) -> Option<T> {
-        let slot = self.slot(key);
+        let slot = Arc::clone(lock_clean(&self.slots).get(&key)?);
         if slot.fill.ready(&FILL_ORDERINGS) {
             lock_clean(&slot.value).clone()
         } else {
@@ -170,6 +171,12 @@ impl<T: Clone> DigestCache<T> {
     /// True when no key has a published value.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Number of slots in the map, published or not.
+    #[cfg(test)]
+    fn slot_count(&self) -> usize {
+        lock_clean(&self.slots).len()
     }
 }
 
@@ -273,6 +280,21 @@ mod tests {
         assert_eq!(computes.load(Ordering::Relaxed), 1); // ordering: test-only counter
         assert_eq!(cache.lookup(42), Some(7));
         assert_eq!(cache.lookup(43), None);
+    }
+
+    #[test]
+    fn missed_lookups_leave_the_cache_unchanged() {
+        let cache: DigestCache<u64> = DigestCache::new();
+        cache.get_or_fill(1, || Ok::<u64, ()>(5)).expect("fill");
+        for key in 100..164 {
+            assert_eq!(cache.lookup(key), None);
+        }
+        assert_eq!(
+            cache.slot_count(),
+            1,
+            "a missed lookup must not insert a slot"
+        );
+        assert_eq!(cache.lookup(1), Some(5));
     }
 
     #[test]

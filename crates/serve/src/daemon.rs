@@ -282,6 +282,10 @@ fn accept_loop(listener: UnixListener, inner: &Arc<DaemonInner>) {
 fn worker_loop(inner: &Arc<DaemonInner>) {
     while let Some(id) = inner.queue.pop() {
         let Some(job) = inner.table.get(id) else {
+            // Only terminal jobs are evicted, so a queued id missing from
+            // the table was cancelled while queued; book it as `settle`
+            // would (it never ran, so it has no counters to fold).
+            inner.rec.add(Counter::ServeJobsCancelled, 1);
             continue;
         };
         if !job.begin_running() {

@@ -15,7 +15,7 @@
 //! [`ServeCaches`], and the whole run is wrapped in the whole-result
 //! cache so an identical config digest is answered with zero solves.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -130,6 +130,10 @@ impl Job {
         self.to_outcome(&lock_clean(&self.state))
     }
 
+    fn is_terminal(&self) -> bool {
+        lock_clean(&self.state).is_terminal()
+    }
+
     fn to_outcome(&self, st: &JobState) -> JobOutcome {
         let (result, error) = match st {
             JobState::Done { text, .. } => (Some(text.clone()), None),
@@ -209,9 +213,19 @@ impl Job {
     }
 }
 
-/// Registry of every job the daemon has accepted.
+/// How many terminal jobs a [`JobTable`] keeps answering for. Each job
+/// holds its report and an enabled recorder, so keeping every finished
+/// job would grow the daemon with every op it serves.
+pub const RETAINED_TERMINAL_JOBS: usize = 128;
+
+/// Registry of the daemon's live jobs and its most recent terminal ones.
+///
+/// Queued and running jobs are never evicted. Beyond
+/// [`RETAINED_TERMINAL_JOBS`] terminal jobs, the oldest (lowest id) are
+/// dropped when a new job is created; an evicted id answers like one
+/// that never existed.
 pub struct JobTable {
-    jobs: Mutex<HashMap<u64, Arc<Job>>>,
+    jobs: Mutex<BTreeMap<u64, Arc<Job>>>,
     // ordering: pure id allocation, no data published through it.
     next_id: AtomicU64,
 }
@@ -226,13 +240,14 @@ impl JobTable {
     /// An empty table; ids start at 1.
     pub fn new() -> JobTable {
         JobTable {
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Mutex::new(BTreeMap::new()),
             next_id: AtomicU64::new(1),
         }
     }
 
-    /// Registers a new queued job under a fresh id. The job's token is
-    /// a child of `parent` (the daemon token).
+    /// Registers a new queued job under a fresh id, evicting the oldest
+    /// terminal jobs beyond [`RETAINED_TERMINAL_JOBS`]. The job's token
+    /// is a child of `parent` (the daemon token).
     pub fn create(
         &self,
         spec: JobSpec,
@@ -256,7 +271,17 @@ impl JobTable {
             state: Mutex::new(JobState::Queued),
             terminal: Condvar::new(),
         });
-        lock_clean(&self.jobs).insert(id, Arc::clone(&job));
+        let mut jobs = lock_clean(&self.jobs);
+        let terminal: Vec<u64> = jobs
+            .values()
+            .filter(|j| j.is_terminal())
+            .map(|j| j.id)
+            .collect();
+        let excess = terminal.len().saturating_sub(RETAINED_TERMINAL_JOBS);
+        for old in &terminal[..excess] {
+            jobs.remove(old);
+        }
+        jobs.insert(id, Arc::clone(&job));
         job
     }
 
@@ -265,7 +290,7 @@ impl JobTable {
         lock_clean(&self.jobs).get(&id).cloned()
     }
 
-    /// Number of jobs ever accepted and still tracked.
+    /// Number of jobs still tracked (live plus retained terminal).
     pub fn len(&self) -> usize {
         lock_clean(&self.jobs).len()
     }
@@ -279,7 +304,7 @@ impl JobTable {
     pub fn live_ids(&self) -> Vec<u64> {
         lock_clean(&self.jobs)
             .values()
-            .filter(|j| !j.outcome().terminal)
+            .filter(|j| !j.is_terminal())
             .map(|j| j.id)
             .collect()
     }
@@ -670,6 +695,39 @@ mod tests {
         let o = waiter.join().expect("join");
         assert_eq!(o.state, "done");
         assert_eq!(o.result.as_deref(), Some("report"));
+    }
+
+    #[test]
+    fn terminal_jobs_beyond_the_bound_are_evicted_oldest_first() {
+        let (table, root) = table_and_token();
+        let queued = table.create(small_spec(), "t".into(), None, None, &root);
+        let running = table.create(small_spec(), "t".into(), None, None, &root);
+        assert!(running.begin_running());
+        let flood = RETAINED_TERMINAL_JOBS + 40;
+        let mut done = Vec::new();
+        for _ in 0..flood {
+            let job = table.create(small_spec(), "t".into(), None, None, &root);
+            job.finish(JobState::Cancelled {
+                reason: "rejected".into(),
+            });
+            done.push(job.id);
+        }
+        // One more create runs the eviction over the whole flood.
+        let last = table.create(small_spec(), "t".into(), None, None, &root);
+        assert_eq!(table.len(), RETAINED_TERMINAL_JOBS + 3);
+        assert!(
+            table.get(queued.id).is_some(),
+            "queued jobs are never evicted"
+        );
+        assert!(
+            table.get(running.id).is_some(),
+            "running jobs are never evicted"
+        );
+        assert!(table.get(last.id).is_some());
+        let (evicted, kept) = done.split_at(flood - RETAINED_TERMINAL_JOBS);
+        assert!(evicted.iter().all(|&id| table.get(id).is_none()));
+        assert!(kept.iter().all(|&id| table.get(id).is_some()));
+        assert_eq!(table.live_ids(), vec![queued.id, running.id, last.id]);
     }
 
     #[test]

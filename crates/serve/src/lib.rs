@@ -47,7 +47,7 @@ pub use cache::{CacheOutcome, CachedResult, CalibEntry, DigestCache, LintVerdict
 pub use client::{Client, ClientError};
 pub use daemon::{Daemon, ServeConfig, ServeSummary};
 pub use fill::{Claim, FillOrderings, FillSlot, FILL_ORDERINGS};
-pub use job::{Job, JobOutcome, JobState, JobTable};
+pub use job::{Job, JobOutcome, JobState, JobTable, RETAINED_TERMINAL_JOBS};
 pub use proto::{Request, Response};
 pub use queue::{JobQueue, PushError};
 pub use spec::{JobSpec, StudyKind};

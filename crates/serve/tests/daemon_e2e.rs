@@ -1,8 +1,9 @@
 //! End-to-end daemon tests over a real Unix socket: whole-result cache
 //! hits with zero transient solves (asserted via the obs counters),
 //! malformed-line handling that keeps the connection open, busy
-//! backpressure, cancel, stream, per-tenant failure budgets, and a
-//! drain/restart cycle that resumes a checkpointed job bit-identically.
+//! backpressure, cancel, stream, per-tenant failure budgets, bounded
+//! retention of finished jobs, and a drain/restart cycle that resumes a
+//! checkpointed job bit-identically.
 
 use std::path::PathBuf;
 use std::time::Duration;
@@ -166,10 +167,22 @@ fn backpressure_cancel_and_stream() {
     let daemon = Daemon::start(cfg).expect("start daemon");
     let mut c = Client::connect_within(daemon.socket(), Duration::from_secs(5)).expect("connect");
 
-    // One worker, queue depth 1: rapid distinct submits must trip the
-    // typed busy rejection long before the worker can drain real
-    // Monte Carlo jobs.
-    let mut admitted = Vec::new();
+    // One worker, queue depth 1. A long study occupies the worker first;
+    // once it is running, the next submit takes the only queue slot and
+    // the one after that must get the typed busy rejection, however fast
+    // small jobs drain.
+    let long = JobSpec::Study {
+        kind: StudyKind::Df,
+        samples: 32,
+        seed: 99,
+        rs: vec![1e3, 1e4, 1e5, 1e6],
+        factors: vec![1.0],
+    };
+    let (long_job, _, _) = c.submit(&long).expect("submit long study");
+    while c.status(long_job).expect("status").state == "queued" {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    let mut admitted = vec![long_job];
     let mut saw_busy = false;
     for seed in 100..120 {
         match c.submit(&small_study(seed)) {
@@ -212,6 +225,38 @@ fn backpressure_cancel_and_stream() {
     let stats = c.stats().expect("stats");
     assert!(counter(&stats, "serve_busy_rejections") >= 1);
     assert!(counter(&stats, "serve_jobs_cancelled") >= 1);
+
+    c.shutdown().expect("shutdown");
+    daemon.join().expect("join");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn terminal_jobs_past_the_retention_bound_become_unknown() {
+    let dir = tmp_dir("retention");
+    let daemon = Daemon::start(ServeConfig::new(dir.join("d.sock"))).expect("start daemon");
+    let mut c = Client::connect_within(daemon.socket(), Duration::from_secs(5)).expect("connect");
+
+    let (first, _, _) = c.submit(&small_study(3)).expect("submit");
+    assert_eq!(c.wait(first).expect("wait").state, "done");
+    // Whole-result hits each create a terminal job inline: flood past
+    // the bound.
+    let mut last = first;
+    for _ in 0..pulsar_serve::RETAINED_TERMINAL_JOBS + 8 {
+        let (job, _, cached) = c.submit(&small_study(3)).expect("submit hit");
+        assert!(cached);
+        last = job;
+    }
+    let e = c.status(first).expect_err("evicted job must be unknown");
+    assert_eq!(e.kind, "unknown-job");
+    assert_eq!(c.status(last).expect("latest job is kept").state, "done");
+    let stats = c.stats().expect("stats");
+    let doc = json::parse(&stats).expect("stats payload is JSON");
+    let tracked = doc.get("jobs").and_then(Json::as_num).expect("jobs") as usize;
+    assert!(
+        tracked <= pulsar_serve::RETAINED_TERMINAL_JOBS + 1,
+        "job table must stay bounded, tracks {tracked}"
+    );
 
     c.shutdown().expect("shutdown");
     daemon.join().expect("join");
