@@ -235,6 +235,12 @@ const TOL_WIDTH: f64 = 2e-12;
 /// scheduler noise on a shared machine.
 const OVERHEAD_ARM_SPAN: Duration = Duration::from_millis(65);
 
+/// Minimum wall time of one timed arm in kernel 4. Its single transients
+/// take ~8 ms (8 gates) to ~0.8 s (64 gates) on a 2-vCPU x86-64 host, so
+/// one op per round let a single slow op swing the guarded 32-gate
+/// ratio; half a second gives that arm several interleaved ops a round.
+const TRANSIENT_ARM_SPAN: Duration = Duration::from_millis(500);
+
 struct KernelResult {
     baseline_ns: u64,
     baseline_allocs: u64,
@@ -532,8 +538,9 @@ fn sparse_transient(n: usize, iters: usize, forced_dense: bool) -> KernelResult 
     );
     assert_sparse_agrees(&od, &os, forced_dense, &format!("{n}-gate transient"));
 
-    measure_pair(
+    measure_pair_spanned(
         iters,
+        TRANSIENT_ARM_SPAN,
         || {
             run(&mut dense);
         },

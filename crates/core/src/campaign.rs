@@ -17,6 +17,7 @@ use pulsar_obs::json::{json_str, Json};
 use pulsar_obs::{config_digest, CancelToken, Counter as ObsCounter, Event, Phase, Recorder};
 use pulsar_timing::TimingLibrary;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// A campaign over all (or a stride-sampled subset of) fault sites of a
 /// netlist.
@@ -451,22 +452,26 @@ impl Campaign {
             }
         };
 
-        // Each worker returns its own chunk's outcomes; joining in spawn
-        // order restores site order with no placeholder slots to unwrap.
-        let chunk = sites.len().div_ceil(threads.max(1)).max(1);
-        let mut outcomes: Vec<SiteOutcome> = Vec::with_capacity(sites.len());
+        // Workers claim the next unplanned site from a shared counter, so
+        // a run of expensive sites never piles up on one thread. Each
+        // worker returns its `(index, outcome)` pairs; sorting the union
+        // by index restores site order.
+        let next = AtomicUsize::new(0);
+        let mut claimed: Vec<(usize, SiteOutcome)> = Vec::with_capacity(sites.len());
         std::thread::scope(|scope| {
-            let handles: Vec<_> = sites
-                .chunks(chunk)
-                .enumerate()
-                .map(|(c, site_chunk)| {
-                    let plan_one = &plan_one;
+            let handles: Vec<_> = (0..threads)
+                .map(|_| {
+                    let (plan_one, next, sites) = (&plan_one, &next, &sites);
                     scope.spawn(move || {
-                        site_chunk
-                            .iter()
-                            .enumerate()
-                            .map(|(j, site)| plan_one(c * chunk + j, *site))
-                            .collect::<Vec<SiteOutcome>>()
+                        let mut done = Vec::new();
+                        loop {
+                            // The counter only hands out indices; outcomes
+                            // come back through `join`, which synchronizes.
+                            let i = next.fetch_add(1, Ordering::AcqRel);
+                            let Some(&site) = sites.get(i) else { break };
+                            done.push((i, plan_one(i, site)));
+                        }
+                        done
                     })
                 })
                 .collect();
@@ -476,7 +481,7 @@ impl Campaign {
             let mut first_panic = None;
             for h in handles {
                 match h.join() {
-                    Ok(part) => outcomes.extend(part),
+                    Ok(part) => claimed.extend(part),
                     Err(payload) => {
                         if first_panic.is_none() {
                             first_panic = Some(payload);
@@ -488,6 +493,8 @@ impl Campaign {
                 std::panic::resume_unwind(payload);
             }
         });
+        claimed.sort_unstable_by_key(|&(i, _)| i);
+        let outcomes = claimed.into_iter().map(|(_, o)| o);
 
         let sites: Vec<(SignalId, SiteOutcome)> = sites.into_iter().zip(outcomes).collect();
         if self.obs.is_enabled() {

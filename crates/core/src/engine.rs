@@ -5,7 +5,7 @@ use crate::error::CoreError;
 use pulsar_analog::{Edge, Polarity};
 use pulsar_cells::{BuiltPath, PathFault, PathSpec, RopSite, Tech};
 use pulsar_obs::{CancelToken, Recorder};
-use pulsar_timing::PathTimingModel;
+use pulsar_timing::{PathElement, PathTimingModel};
 
 /// The defect class injected into a path under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -311,7 +311,10 @@ pub enum ModelFault {
 }
 
 /// Logic-level path instance: a healthy [`PathTimingModel`] plus a fault
-/// mapping; `set_resistance` re-derives the faulty model (cheap).
+/// mapping. The fault is injected once, at construction; `set_resistance`
+/// then rewrites the one faulted element in place, with the same
+/// arithmetic as a fresh injection, so a resistance sweep allocates
+/// nothing per point.
 ///
 /// Bridges are *not* supported at this level (their delay depends on a
 /// drive fight the abstraction cannot see); use [`AnalogPath`] for them.
@@ -320,21 +323,41 @@ pub struct ModelPath {
     healthy: PathTimingModel,
     fault: Option<ModelFault>,
     current: PathTimingModel,
+    /// Position of the faulted element in `current` (unused without a
+    /// fault).
+    slot: usize,
 }
 
 impl ModelPath {
     /// Wraps a healthy model with an optional fault mapping, initially at
     /// resistance `r0` (ignored when `fault` is `None`).
     pub fn new(healthy: PathTimingModel, fault: Option<ModelFault>, r0: f64) -> Self {
-        let mut mp = ModelPath {
-            current: healthy.clone(),
+        let mut current = healthy.clone();
+        let slot = match fault {
+            None => 0,
+            Some(ModelFault::RcAfter { stage, c_branch }) => {
+                current.inject_rc_after(stage, r0 * c_branch);
+                healthy.gate_element_index(stage) + 1
+            }
+            Some(ModelFault::EdgeSlow {
+                stage,
+                edge,
+                c_load,
+            }) => {
+                current.inject_edge_slow(stage, edge, r0 * c_load);
+                healthy.gate_element_index(stage)
+            }
+            Some(ModelFault::RcAtInput { c_branch }) => {
+                current.inject_rc_at_front(r0 * c_branch);
+                0
+            }
+        };
+        ModelPath {
             healthy,
             fault,
-        };
-        if mp.fault.is_some() {
-            mp.apply(r0);
+            current,
+            slot,
         }
-        mp
     }
 
     /// The currently active (possibly faulty) model.
@@ -342,18 +365,26 @@ impl ModelPath {
         &self.current
     }
 
-    fn apply(&mut self, ohms: f64) {
-        let mut m = self.healthy.clone();
-        match self.fault.expect("apply is only called with a fault") {
-            ModelFault::RcAfter { stage, c_branch } => m.inject_rc_after(stage, ohms * c_branch),
+    /// Re-derives the faulted element for resistance `ohms`: an RC element
+    /// is replaced whole, an edge slow-down is re-applied to the healthy
+    /// gate — exactly what injecting into a fresh copy would compute.
+    fn apply(&mut self, fault: ModelFault, ohms: f64) {
+        let slot = self.slot;
+        match fault {
+            ModelFault::RcAfter { c_branch, .. } | ModelFault::RcAtInput { c_branch } => {
+                self.current.elements_mut()[slot] = PathElement::RcNet {
+                    tau: ohms * c_branch,
+                };
+            }
             ModelFault::EdgeSlow {
                 stage,
                 edge,
                 c_load,
-            } => m.inject_edge_slow(stage, edge, ohms * c_load),
-            ModelFault::RcAtInput { c_branch } => m.inject_rc_at_front(ohms * c_branch),
+            } => {
+                self.current.elements_mut()[slot] = self.healthy.elements()[slot];
+                self.current.inject_edge_slow(stage, edge, ohms * c_load);
+            }
         }
-        self.current = m;
     }
 }
 
@@ -367,11 +398,11 @@ impl PathInstance for ModelPath {
     }
 
     fn set_resistance(&mut self, ohms: f64) -> Result<(), CoreError> {
-        if self.fault.is_none() {
+        let Some(fault) = self.fault else {
             return Err(CoreError::Unsupported {
                 what: "set_resistance on a fault-free model path",
             });
-        }
+        };
         if !(ohms.is_finite() && ohms > 0.0) {
             return Err(CoreError::Analog(pulsar_analog::Error::InvalidParameter {
                 element: "model fault",
@@ -379,7 +410,7 @@ impl PathInstance for ModelPath {
                 value: ohms,
             }));
         }
-        self.apply(ohms);
+        self.apply(fault, ohms);
         Ok(())
     }
 }
@@ -388,7 +419,7 @@ impl PathInstance for ModelPath {
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
-    use pulsar_timing::{GateTimingModel, PathElement};
+    use pulsar_timing::GateTimingModel;
 
     fn healthy_chain(n: usize) -> PathTimingModel {
         let inv = GateTimingModel::new(95e-12, 75e-12, 70e-12, 260e-12);
@@ -484,6 +515,70 @@ mod tests {
         let mut p = ModelPath::new(healthy_chain(3), Some(mf), 1e3);
         assert!(p.set_resistance(-1.0).is_err());
         assert!(p.set_resistance(f64::NAN).is_err());
+    }
+
+    /// A mixed chain for the sweep property: inverting and buffering
+    /// gates with pre-existing edge slow-downs, and an RC element that is
+    /// not a stage.
+    fn mixed_chain(n: usize, rng: &mut rand::rngs::StdRng) -> PathTimingModel {
+        use rand::RngExt;
+        let mut elements = Vec::new();
+        for i in 0..n {
+            let scale = 0.5 + rng.random::<f64>();
+            elements.push(PathElement::Gate {
+                model: GateTimingModel::new(95e-12, 75e-12, 70e-12, 260e-12).scaled(scale),
+                inverting: i % 3 != 2,
+                slow_rise: rng.random::<f64>() * 20e-12,
+                slow_fall: rng.random::<f64>() * 20e-12,
+            });
+            if i == n / 2 {
+                elements.push(PathElement::RcNet { tau: 15e-12 });
+            }
+        }
+        PathTimingModel::new(elements)
+    }
+
+    proptest::proptest! {
+        /// Sweeping `set_resistance` over one instance gives the very bits
+        /// of a fresh instance built at each resistance, for every fault
+        /// kind: the in-place update repeats the injection's arithmetic
+        /// and nothing accumulates between points.
+        #[test]
+        fn in_place_resistance_matches_fresh_injection(seed in 0u64..10_000, n in 2usize..9) {
+            use rand::{RngExt, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let healthy = mixed_chain(n, &mut rng);
+            let stage = rng.random_range(0..n);
+            let faults = [
+                ModelFault::RcAfter { stage, c_branch: 13e-15 },
+                ModelFault::EdgeSlow { stage, edge: Edge::Rising, c_load: 30e-15 },
+                ModelFault::EdgeSlow { stage, edge: Edge::Falling, c_load: 30e-15 },
+                ModelFault::RcAtInput { c_branch: 13e-15 },
+            ];
+            for fault in faults {
+                let mut swept = ModelPath::new(healthy.clone(), Some(fault), 1e3);
+                for _ in 0..12 {
+                    let r = 10f64.powf(1.0 + 5.5 * rng.random::<f64>());
+                    swept.set_resistance(r).unwrap();
+                    let mut fresh = ModelPath::new(healthy.clone(), Some(fault), r);
+                    proptest::prop_assert_eq!(swept.model(), fresh.model());
+                    for edge in [Edge::Rising, Edge::Falling] {
+                        proptest::prop_assert_eq!(
+                            swept.delay(edge).unwrap().to_bits(),
+                            fresh.delay(edge).unwrap().to_bits()
+                        );
+                    }
+                    for w_in in [150e-12, 400e-12, 1.2e-9] {
+                        for pol in [Polarity::PositiveGoing, Polarity::NegativeGoing] {
+                            proptest::prop_assert_eq!(
+                                swept.pulse_width_out(w_in, pol).unwrap().to_bits(),
+                                fresh.pulse_width_out(w_in, pol).unwrap().to_bits()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@ use crate::engine::{ModelFault, ModelPath, PathInstance};
 use crate::error::CoreError;
 use pulsar_analog::Polarity;
 use pulsar_cells::{BuiltPath, CellKind, PathFault, PathSpec, Tech};
-use pulsar_logic::{paths_from_fanin, sensitize, GateKind, InputVector, Netlist, Path, SignalId};
+use pulsar_logic::{paths_from_fanin, GateKind, InputVector, Netlist, Path, Sensitizer, SignalId};
 use pulsar_timing::{PathTimingModel, TimingLibrary};
 
 /// Knobs for [`plan_for_site`].
@@ -85,19 +85,20 @@ pub struct PathTestPlan {
 /// # Errors
 ///
 /// [`CoreError::NoSensitizablePath`] when no candidate path can be
-/// sensitized; netlist errors propagate.
+/// sensitized; timing-model measurement errors propagate.
 pub fn plan_for_site(
     nl: &Netlist,
     site: SignalId,
     lib: &TimingLibrary,
     cfg: &TestgenConfig,
 ) -> Result<Vec<PathTestPlan>, CoreError> {
-    let candidates = paths_from_fanin(nl, site, cfg.max_paths)?;
+    let candidates = paths_from_fanin(nl, site, cfg.max_paths);
+    let mut sensitizer = Sensitizer::new(nl);
     let mut plans = Vec::new();
 
     for path in candidates {
         // Sensitization. A blown backtrack budget just skips the path.
-        let vector = match sensitize(nl, &path, cfg.max_backtracks) {
+        let vector = match sensitizer.sensitize(&path, cfg.max_backtracks) {
             Ok(Some(v)) => v,
             Ok(None) | Err(_) => continue,
         };
@@ -197,7 +198,7 @@ fn characterize(
         let (mut lo, mut hi) = (r_lo, r_hi);
         // Bisect in log space: resistance spans decades.
         for _ in 0..48 {
-            let mid = (lo.ln() + hi.ln()).exp2div2();
+            let mid = ((lo.ln() + hi.ln()) / 2.0).exp();
             if detects(&mut faulty, mid)? {
                 hi = mid;
             } else {
@@ -215,17 +216,6 @@ fn characterize(
         w_th,
         r_min,
     }))
-}
-
-/// Geometric mean helper for log-space bisection.
-trait ExpDiv {
-    fn exp2div2(self) -> f64;
-}
-
-impl ExpDiv for f64 {
-    fn exp2div2(self) -> f64 {
-        (self / 2.0).exp()
-    }
 }
 
 /// Maps a structural netlist path onto a transistor-level [`PathSpec`],

@@ -1,6 +1,7 @@
 //! Combinational gate-level netlist.
 
 use crate::error::LogicError;
+use std::sync::OnceLock;
 
 /// Handle to a signal (a primary input or a gate output).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -173,8 +174,14 @@ pub struct Gate {
 /// A combinational netlist: primary inputs, gates, primary outputs.
 ///
 /// Signals are created by [`Netlist::add_input`] and [`Netlist::add_gate`];
-/// the structure is append-only. Use [`Netlist::topological_order`] to
-/// check for combinational loops before simulating.
+/// the structure is append-only.
+///
+/// **Every netlist is acyclic.** [`Netlist::add_gate`] only accepts input
+/// signals that already exist, so each gate reads signals created before
+/// its own output, and [`parse_iscas85`](crate::parse_iscas85) rejects a
+/// looped source with [`LogicError::CombinationalLoop`] before building
+/// anything. Traversals (path enumeration, sensitization, simulation)
+/// rely on this and never re-check it.
 #[derive(Debug, Clone, Default)]
 pub struct Netlist {
     names: Vec<String>,
@@ -183,6 +190,9 @@ pub struct Netlist {
     gates: Vec<Gate>,
     inputs: Vec<SignalId>,
     outputs: Vec<SignalId>,
+    /// Per-signal readers, built on the first [`Netlist::fanouts`] call
+    /// and dropped whenever a signal or gate is added.
+    fanouts: OnceLock<Vec<Vec<(GateId, usize)>>>,
 }
 
 impl Netlist {
@@ -193,6 +203,7 @@ impl Netlist {
 
     /// Declares a primary input and returns its signal.
     pub fn add_input(&mut self, name: impl Into<String>) -> SignalId {
+        self.fanouts.take();
         let s = SignalId(self.names.len());
         self.names.push(name.into());
         self.drivers.push(None);
@@ -223,6 +234,7 @@ impl Netlist {
                 i.0
             );
         }
+        self.fanouts.take();
         let out = SignalId(self.names.len());
         self.names.push(name.into());
         let gid = GateId(self.gates.len());
@@ -292,24 +304,31 @@ impl Netlist {
         self.gates.len()
     }
 
-    /// Per-signal list of (gate, pin) pairs reading it.
-    pub fn fanouts(&self) -> Vec<Vec<(GateId, usize)>> {
-        let mut out = vec![Vec::new(); self.names.len()];
-        for (gi, g) in self.gates.iter().enumerate() {
-            for (pin, s) in g.inputs.iter().enumerate() {
-                out[s.0].push((GateId(gi), pin));
+    /// The fan-out table: indexed by [`SignalId::index`], the `(gate, pin)`
+    /// pairs reading each signal, in gate order and then pin order.
+    ///
+    /// The table is built once, on the first call, and borrowed by every
+    /// later one; adding an input or a gate drops it, so it always
+    /// describes the current netlist. Path enumeration, sensitization,
+    /// timing models and compaction all share this one copy.
+    pub fn fanouts(&self) -> &[Vec<(GateId, usize)>] {
+        self.fanouts.get_or_init(|| {
+            let mut out = vec![Vec::new(); self.names.len()];
+            for (gi, g) in self.gates.iter().enumerate() {
+                for (pin, s) in g.inputs.iter().enumerate() {
+                    out[s.0].push((GateId(gi), pin));
+                }
             }
-        }
-        out
+            out
+        })
     }
 
     /// Gates in topological (input-to-output) order.
     ///
     /// # Errors
     ///
-    /// [`LogicError::CombinationalLoop`] when the structure is cyclic.
-    /// (Loops cannot be built through the public construction API, which
-    /// is append-only, but parsed netlists may contain them.)
+    /// [`LogicError::CombinationalLoop`] when the structure is cyclic —
+    /// which, by the acyclicity invariant on [`Netlist`], no netlist is.
     pub fn topological_order(&self) -> Result<Vec<GateId>, LogicError> {
         // Kahn's algorithm over gates.
         let mut indeg = vec![0usize; self.gates.len()];
@@ -429,6 +448,74 @@ mod tests {
         assert_eq!(f[a.index()], vec![(GateId(0), 0)]);
         assert_eq!(f[b.index()], vec![(GateId(0), 1)]);
         assert_eq!(f[n.index()], vec![(GateId(1), 0)]);
+    }
+
+    #[test]
+    fn fanouts_follow_additions_and_clones() {
+        let (mut nl, a, _, n, o) = small();
+        assert!(nl.fanouts()[o.index()].is_empty());
+        let copy = nl.clone();
+        let c = nl.add_input("c");
+        let x = nl.add_gate(GateKind::And, &[o, a, c], "x").unwrap();
+        let f = nl.fanouts();
+        assert_eq!(f.len(), nl.signal_count());
+        assert_eq!(f[a.index()], vec![(GateId(0), 0), (GateId(2), 1)]);
+        assert_eq!(f[o.index()], vec![(GateId(2), 0)]);
+        assert_eq!(f[c.index()], vec![(GateId(2), 2)]);
+        assert!(f[x.index()].is_empty());
+        // The clone kept its own, older table.
+        assert_eq!(copy.fanouts().len(), copy.signal_count());
+        assert_eq!(copy.fanouts()[n.index()], vec![(GateId(1), 0)]);
+        assert!(copy.fanouts()[o.index()].is_empty());
+    }
+
+    proptest::proptest! {
+        /// The acyclicity invariant: whatever `add_gate` is given, as long
+        /// as it accepts the gate, the netlist keeps a full topological
+        /// order in which every gate follows the drivers of its inputs.
+        #[test]
+        fn add_gate_only_builds_acyclic_netlists(seed in 0u64..100_000, gates in 1usize..80) {
+            use rand::rngs::StdRng;
+            use rand::{RngExt, SeedableRng};
+            const KINDS: [GateKind; 8] = [
+                GateKind::And,
+                GateKind::Nand,
+                GateKind::Or,
+                GateKind::Nor,
+                GateKind::Not,
+                GateKind::Buf,
+                GateKind::Xor,
+                GateKind::Xnor,
+            ];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut nl = Netlist::new();
+            nl.add_input("i0");
+            for g in 0..gates {
+                if rng.random_range(0..4) == 0 {
+                    nl.add_input(format!("i{}", nl.signal_count()));
+                }
+                let kind = KINDS[rng.random_range(0..KINDS.len())];
+                let pins = match kind {
+                    GateKind::Not | GateKind::Buf => 1,
+                    _ => rng.random_range(1..5),
+                };
+                let inputs: Vec<SignalId> = (0..pins)
+                    .map(|_| SignalId(rng.random_range(0..nl.signal_count())))
+                    .collect();
+                nl.add_gate(kind, &inputs, format!("g{g}")).unwrap();
+            }
+            let order = nl.topological_order().unwrap();
+            proptest::prop_assert_eq!(order.len(), nl.gate_count());
+            let mut placed = vec![false; nl.signal_count()];
+            for &s in nl.inputs() {
+                placed[s.index()] = true;
+            }
+            for g in order {
+                let gate = nl.gate(g);
+                proptest::prop_assert!(gate.inputs.iter().all(|s| placed[s.index()]));
+                placed[gate.output.index()] = true;
+            }
+        }
     }
 
     #[test]

@@ -75,18 +75,17 @@ impl Path {
 /// `limit` paths have been produced — path counts are exponential in the
 /// worst case, so a cap is mandatory.
 ///
+/// The forward walk terminates because every [`Netlist`] is acyclic (see
+/// its invariant).
+///
 /// # Errors
 ///
-/// [`LogicError::PathLimit`] when the cap is exceeded;
-/// [`LogicError::CombinationalLoop`] is impossible here because traversal
-/// follows fan-out edges only finitely (cyclic netlists would loop, so the
-/// function validates acyclicity first and reports it).
+/// [`LogicError::PathLimit`] when the cap is exceeded.
 pub fn enumerate_paths(
     nl: &Netlist,
     through: Option<SignalId>,
     limit: usize,
 ) -> Result<Vec<Path>, LogicError> {
-    nl.topological_order()?; // acyclicity check
     let fanouts = nl.fanouts();
     let output_set: Vec<bool> = {
         let mut v = vec![false; nl.signal_count()];
@@ -132,7 +131,7 @@ pub fn enumerate_paths(
     for &pi in nl.inputs() {
         dfs(
             nl,
-            &fanouts,
+            fanouts,
             &output_set,
             pi,
             pi,
@@ -155,17 +154,10 @@ pub fn enumerate_paths(
 /// Unlike [`enumerate_paths`], exceeding the cap is not an error: the
 /// result is **silently truncated** to at most `limit` paths (check
 /// `len() == limit` to detect truncation). Test generation prefers *some*
-/// candidate paths over none on fan-out-heavy circuits.
-///
-/// # Errors
-///
-/// [`LogicError::CombinationalLoop`] for cyclic netlists.
-pub fn paths_from_fanin(
-    nl: &Netlist,
-    site: SignalId,
-    limit: usize,
-) -> Result<Vec<Path>, LogicError> {
-    nl.topological_order()?;
+/// candidate paths over none on fan-out-heavy circuits. Like
+/// [`enumerate_paths`], it relies on the netlist being acyclic, which
+/// every [`Netlist`] is.
+pub fn paths_from_fanin(nl: &Netlist, site: SignalId, limit: usize) -> Vec<Path> {
     let fanouts = nl.fanouts();
 
     // Backward segments: site ← … ← PI, as reversed step lists.
@@ -237,15 +229,7 @@ pub fn paths_from_fanin(
             stack.pop();
         }
     }
-    fwd_dfs(
-        nl,
-        &fanouts,
-        &output_set,
-        site,
-        &mut fstack,
-        &mut fwd,
-        limit,
-    );
+    fwd_dfs(nl, fanouts, &output_set, site, &mut fstack, &mut fwd, limit);
 
     // Cartesian product, capped.
     let mut result = Vec::new();
@@ -259,7 +243,7 @@ pub fn paths_from_fanin(
             result.push(Path { from: *pi, steps });
         }
     }
-    Ok(result)
+    result
 }
 
 #[cfg(test)]
@@ -304,7 +288,7 @@ mod tests {
     #[test]
     fn fanin_enumeration_matches_filtered_global() {
         let (nl, _a, _b, g1) = reconvergent();
-        let via = paths_from_fanin(&nl, g1, 100).unwrap();
+        let via = paths_from_fanin(&nl, g1, 100);
         let filt = enumerate_paths(&nl, Some(g1), 100).unwrap();
         assert_eq!(via.len(), filt.len());
         for p in &via {

@@ -49,6 +49,9 @@ impl InputVector {
 /// Returns `Ok(Some(vector))` when found, `Ok(None)` when the path is
 /// provably unsensitizable (conflicting side-input requirements).
 ///
+/// One call builds a fresh [`Sensitizer`]; to try many paths of the same
+/// netlist, keep one `Sensitizer` and call [`Sensitizer::sensitize`].
+///
 /// # Errors
 ///
 /// [`LogicError::PathLimit`] when the search exceeds `max_backtracks`
@@ -59,72 +62,134 @@ pub fn sensitize(
     path: &Path,
     max_backtracks: usize,
 ) -> Result<Option<InputVector>, LogicError> {
-    // Signals carrying the pulse: may not be statically justified.
-    let mut blocked = vec![false; nl.signal_count()];
-    for s in path.signals(nl) {
-        blocked[s.index()] = true;
-    }
-
-    // Side-input requirements.
-    let mut requirements: Vec<(SignalId, bool)> = Vec::new();
-    for step in &path.steps {
-        let gate = nl.gate(step.gate);
-        let on_path = gate.inputs[step.pin];
-        let side_val = gate.kind.side_input_value();
-        for (pin, &sig) in gate.inputs.iter().enumerate() {
-            if pin == step.pin {
-                continue;
-            }
-            if sig == on_path || blocked[sig.index()] {
-                // The side input is electrically the pulse carrier (or
-                // another on-path net): no static value can sensitize it.
-                return Ok(None);
-            }
-            requirements.push((sig, side_val));
-        }
-    }
-
-    let mut engine = Justify {
-        nl,
-        assigned: vec![None; nl.signal_count()],
-        trail: Vec::new(),
-        blocked,
-        backtracks: 0,
-        max_backtracks,
-    };
-
-    for &(sig, val) in &requirements {
-        if !engine.justify(sig, val) {
-            return if engine.budget_exhausted() {
-                Err(LogicError::PathLimit {
-                    limit: max_backtracks,
-                })
-            } else {
-                Ok(None)
-            };
-        }
-    }
-
-    let values = nl
-        .inputs()
-        .iter()
-        .fold(vec![None; nl.signal_count()], |mut acc, &s| {
-            acc[s.index()] = engine.assigned[s.index()];
-            acc
-        });
-    Ok(Some(InputVector { values }))
+    Sensitizer::new(nl).sensitize(path, max_backtracks)
 }
 
-struct Justify<'a> {
+/// A reusable path sensitizer for one netlist.
+///
+/// The search state — per-signal assignments and on-path blocks, and the
+/// assignment trail — is allocated once by [`Sensitizer::new`] and
+/// restored to all-clear at the end of every [`Sensitizer::sensitize`]
+/// call, so trying a long list of candidate paths allocates nothing per
+/// path except the returned vectors. Gate input lists are borrowed from
+/// the netlist, never copied.
+///
+/// Each call answers exactly as a fresh [`sensitize`] would: nothing of
+/// one path's search (assignments, blocks, backtrack count) survives into
+/// the next.
+///
+/// ```
+/// use pulsar_logic::{enumerate_paths, sensitize, GateKind, Netlist, Sensitizer};
+///
+/// let mut nl = Netlist::new();
+/// let a = nl.add_input("a");
+/// let b = nl.add_input("b");
+/// let y = nl.add_gate(GateKind::Nand, &[a, b], "y").unwrap();
+/// nl.mark_output(y);
+///
+/// let mut sens = Sensitizer::new(&nl);
+/// for path in enumerate_paths(&nl, None, 10).unwrap() {
+///     assert_eq!(sens.sensitize(&path, 1_000), sensitize(&nl, &path, 1_000));
+/// }
+/// ```
+#[derive(Debug)]
+pub struct Sensitizer<'a> {
     nl: &'a Netlist,
-    assigned: Vec<Option<bool>>,
-    trail: Vec<SignalId>,
+    /// Signals carrying the pulse: may not be statically justified.
     blocked: Vec<bool>,
+    assigned: Vec<Option<bool>>,
+    /// Every signal assigned so far, in assignment order.
+    trail: Vec<SignalId>,
     backtracks: usize,
     max_backtracks: usize,
 }
 
-impl Justify<'_> {
+impl<'a> Sensitizer<'a> {
+    /// A sensitizer for paths of `nl`, with its tables sized once.
+    pub fn new(nl: &'a Netlist) -> Self {
+        Sensitizer {
+            nl,
+            blocked: vec![false; nl.signal_count()],
+            assigned: vec![None; nl.signal_count()],
+            trail: Vec::new(),
+            backtracks: 0,
+            max_backtracks: 0,
+        }
+    }
+
+    /// Searches for an input vector sensitizing `path`, a path of the
+    /// netlist this sensitizer was built for. Same contract as
+    /// [`sensitize`].
+    ///
+    /// # Errors
+    ///
+    /// [`LogicError::PathLimit`] when the search exceeds `max_backtracks`
+    /// failed branches.
+    pub fn sensitize(
+        &mut self,
+        path: &Path,
+        max_backtracks: usize,
+    ) -> Result<Option<InputVector>, LogicError> {
+        for s in on_path_signals(self.nl, path) {
+            self.blocked[s.index()] = true;
+        }
+        let result = self.search(path, max_backtracks);
+        self.rollback(0);
+        for s in on_path_signals(self.nl, path) {
+            self.blocked[s.index()] = false;
+        }
+        result
+    }
+
+    /// The search proper, over freshly cleared tables with `path`'s
+    /// signals blocked; leaves its assignments for the caller to clear.
+    fn search(
+        &mut self,
+        path: &Path,
+        max_backtracks: usize,
+    ) -> Result<Option<InputVector>, LogicError> {
+        let nl = self.nl;
+        self.backtracks = 0;
+        self.max_backtracks = max_backtracks;
+
+        // A side input that is electrically the pulse carrier (or another
+        // on-path net) can hold no static value.
+        for step in &path.steps {
+            let gate = nl.gate(step.gate);
+            let on_path = gate.inputs[step.pin];
+            let carrier_on_side = gate.inputs.iter().enumerate().any(|(pin, &sig)| {
+                pin != step.pin && (sig == on_path || self.blocked[sig.index()])
+            });
+            if carrier_on_side {
+                return Ok(None);
+            }
+        }
+
+        // Justify every side input at its non-controlling value, in path
+        // and pin order.
+        for step in &path.steps {
+            let gate = nl.gate(step.gate);
+            let side_val = gate.kind.side_input_value();
+            for (pin, &sig) in gate.inputs.iter().enumerate() {
+                if pin != step.pin && !self.justify(sig, side_val) {
+                    return if self.budget_exhausted() {
+                        Err(LogicError::PathLimit {
+                            limit: max_backtracks,
+                        })
+                    } else {
+                        Ok(None)
+                    };
+                }
+            }
+        }
+
+        let mut values = vec![None; nl.signal_count()];
+        for &s in nl.inputs() {
+            values[s.index()] = self.assigned[s.index()];
+        }
+        Ok(Some(InputVector { values }))
+    }
+
     fn budget_exhausted(&self) -> bool {
         self.backtracks >= self.max_backtracks
     }
@@ -153,20 +218,20 @@ impl Justify<'_> {
                 self.trail.push(s);
             }
         }
-        let Some(gate) = self.nl.driver(s) else {
+        let nl = self.nl;
+        let Some(gate) = nl.driver(s) else {
             return true; // primary input: freely assignable
         };
-        let kind = gate.kind;
-        let inputs = gate.inputs.clone();
-        let ok = match kind {
+        let inputs = gate.inputs.as_slice();
+        let ok = match gate.kind {
             GateKind::Not => self.justify(inputs[0], !v),
             GateKind::Buf => self.justify(inputs[0], v),
-            GateKind::And => self.gate_and(&inputs, v, false),
-            GateKind::Nand => self.gate_and(&inputs, !v, false),
-            GateKind::Or => self.gate_and(&inputs, !v, true),
-            GateKind::Nor => self.gate_and(&inputs, v, true),
-            GateKind::Xor => self.gate_parity(&inputs, v),
-            GateKind::Xnor => self.gate_parity(&inputs, !v),
+            GateKind::And => self.gate_and(inputs, v, false),
+            GateKind::Nand => self.gate_and(inputs, !v, false),
+            GateKind::Or => self.gate_and(inputs, !v, true),
+            GateKind::Nor => self.gate_and(inputs, v, true),
+            GateKind::Xor => self.gate_parity(inputs, v),
+            GateKind::Xnor => self.gate_parity(inputs, !v),
         };
         if !ok {
             // Undo this signal's own assignment (children rolled back by
@@ -235,6 +300,12 @@ impl Justify<'_> {
             }
         }
     }
+}
+
+/// The signals carrying the pulse along `path`: `from`, then each gate
+/// output ([`Path::signals`] without the allocation).
+fn on_path_signals<'n>(nl: &'n Netlist, path: &'n Path) -> impl Iterator<Item = SignalId> + 'n {
+    std::iter::once(path.from).chain(path.steps.iter().map(|st| nl.gate(st.gate).output))
 }
 
 #[cfg(test)]
