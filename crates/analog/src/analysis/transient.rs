@@ -60,8 +60,16 @@ pub enum StopRule {
     /// at or after `after`, both at `threshold` — the two crossings
     /// [`crate::propagation_delay`] reads, with the semantics of
     /// [`Trace::crossings`]. A delay measured on the stopped run is
-    /// therefore bit-identical to one measured on the full window. When
-    /// either crossing never happens the run ends at `stop`.
+    /// therefore bit-identical to one measured on the full window.
+    ///
+    /// The run also stops, undecided, once the input crossing is more
+    /// than `within` behind and no output crossing has followed it: the
+    /// first point where the earliest time a later output crossing could
+    /// still be dated, minus the input crossing, exceeds `within`. Every
+    /// delay the full window would measure past that point is then
+    /// `> within`, and the stopped run measures none. With `within =
+    /// +∞`, or when the input crossing never happens, an undecided run
+    /// ends at `stop`.
     Crossed {
         /// Node whose crossing starts the measurement.
         input: NodeId,
@@ -75,6 +83,8 @@ pub enum StopRule {
         threshold: f64,
         /// Input crossings before this time are ignored, seconds.
         after: f64,
+        /// Delay horizon, seconds: non-negative, `+∞` for none.
+        within: f64,
     },
     /// Stop once `t` is past the last source breakpoint and every node
     /// voltage has stayed within 1 mV of its `t = 0` (DC) value for at
@@ -165,12 +175,20 @@ impl TranConfig {
             });
         }
         if let StopRule::Crossed {
-            threshold, after, ..
+            threshold,
+            after,
+            within,
+            ..
         } = self.stop_rule
         {
             if !(threshold.is_finite() && after.is_finite()) {
                 return Err(Error::InvalidTranConfig {
                     reason: "crossing stop rule needs a finite threshold and start",
+                });
+            }
+            if within.is_nan() || within < 0.0 {
+                return Err(Error::InvalidTranConfig {
+                    reason: "crossing stop rule needs a non-negative horizon",
                 });
             }
         }
@@ -185,6 +203,7 @@ enum StopState {
         input: NodeId,
         output: NodeId,
         after: f64,
+        within: f64,
         input_det: CrossingDetector,
         output_det: CrossingDetector,
         /// First input crossing at or after `after`, once seen.
@@ -211,10 +230,12 @@ impl StopState {
                 output_edge,
                 threshold,
                 after,
+                within,
             } => StopState::Crossed {
                 input,
                 output,
                 after,
+                within,
                 input_det: CrossingDetector::new(threshold, input_edge),
                 output_det: CrossingDetector::new(threshold, output_edge),
                 t_in: None,
@@ -236,6 +257,7 @@ impl StopState {
                 input,
                 output,
                 after,
+                within,
                 input_det,
                 output_det,
                 t_in,
@@ -249,7 +271,14 @@ impl StopState {
                 if let Some(c) = output_det.push(t, System::node_voltage(x, *output)) {
                     *t_out = Some(c);
                 }
-                matches!((*t_in, *t_out), (Some(i), Some(o)) if o >= i)
+                match (*t_in, *t_out) {
+                    (Some(i), Some(o)) if o >= i => true,
+                    // Past the horizon: any later crossing is dated at or
+                    // after `earliest_pending`, and float subtraction is
+                    // monotone, so its delay exceeds `within` too.
+                    (Some(i), _) => output_det.earliest_pending() - i > *within,
+                    _ => false,
+                }
             }
             StopState::Settled {
                 last_breakpoint,
@@ -1290,6 +1319,7 @@ mod tests {
                 output_edge: Edge::Rising,
                 threshold: 0.5,
                 after: 0.0,
+                within: f64::INFINITY,
             },
             ..full_cfg.clone()
         };
@@ -1312,6 +1342,64 @@ mod tests {
         };
         assert!(delay(&full).is_some());
         assert_eq!(delay(&early), delay(&full));
+    }
+
+    #[test]
+    fn crossed_rule_stops_at_the_horizon_undecided() {
+        let (ckt, vin, out) = rc_deck();
+        let full_cfg = TranConfig::new(5e-12, 6e-9);
+        let crossed = |within: f64| TranConfig {
+            stop_rule: StopRule::Crossed {
+                input: vin,
+                input_edge: Edge::Rising,
+                output: out,
+                output_edge: Edge::Rising,
+                threshold: 0.5,
+                after: 0.0,
+                within,
+            },
+            ..full_cfg.clone()
+        };
+        let delay = |r: &TranResult| {
+            crate::waveform::propagation_delay(
+                &r.trace(vin),
+                Edge::Rising,
+                &r.trace(out),
+                Edge::Rising,
+                0.5,
+                0.0,
+            )
+        };
+        let full = ckt.transient(&full_cfg).unwrap();
+        let d = delay(&full).unwrap();
+        let t_in = full
+            .trace(vin)
+            .first_crossing_after(0.5, Edge::Rising, 0.0)
+            .unwrap();
+
+        // Below the delay: the run ends at the first point strictly past
+        // the horizon, before the output crosses, also when the horizon
+        // lands exactly on a time point.
+        let on_point = full
+            .times()
+            .iter()
+            .map(|&t| t - t_in)
+            .find(|&w| w > 0.4 * d);
+        for within in [0.4 * d, on_point.unwrap()] {
+            let early = ckt.transient(&crossed(within)).unwrap();
+            assert_prefix(&early, &full, out);
+            assert_eq!(delay(&early), None);
+            let t = early.times();
+            assert!(t[t.len() - 1] - t_in > within && t[t.len() - 2] - t_in <= within);
+        }
+
+        // At or above the delay: the crossing decides, as with no horizon.
+        let unbounded = ckt.transient(&crossed(f64::INFINITY)).unwrap();
+        for within in [d, 2.0 * d] {
+            let run = ckt.transient(&crossed(within)).unwrap();
+            assert_eq!(run.times(), unbounded.times());
+            assert_eq!(delay(&run).map(f64::to_bits), Some(d.to_bits()));
+        }
     }
 
     #[test]
@@ -1352,7 +1440,7 @@ mod tests {
     fn invalid_stop_rules_are_rejected() {
         let (ckt, vin, _) = rc_deck();
         let base = TranConfig::new(5e-12, 1e-9);
-        let crossed = |output: NodeId, threshold: f64| TranConfig {
+        let crossed = |output: NodeId, threshold: f64, within: f64| TranConfig {
             stop_rule: StopRule::Crossed {
                 input: vin,
                 input_edge: Edge::Rising,
@@ -1360,14 +1448,26 @@ mod tests {
                 output_edge: Edge::Rising,
                 threshold,
                 after: 0.0,
+                within,
             },
             ..base.clone()
         };
-        assert!(ckt.transient(&crossed(NodeId(99), 0.5)).is_err());
-        assert!(ckt.transient(&crossed(vin, f64::INFINITY)).is_err());
+        let inf = f64::INFINITY;
+        assert!(ckt.transient(&crossed(NodeId(99), 0.5, inf)).is_err());
+        assert!(ckt.transient(&crossed(vin, inf, inf)).is_err());
+        for within in [f64::NAN, -1e-12, -inf] {
+            assert!(
+                matches!(
+                    ckt.transient(&crossed(vin, 0.5, within)),
+                    Err(Error::InvalidTranConfig { .. })
+                ),
+                "horizon {within} must be rejected"
+            );
+        }
+        assert!(ckt.transient(&crossed(vin, 0.5, 0.0)).is_ok());
         // The baseline engine ignores the rule and runs the full window.
         let full = ckt.transient(&base).unwrap();
-        let base_run = ckt.transient_baseline(&crossed(vin, 0.5)).unwrap();
+        let base_run = ckt.transient_baseline(&crossed(vin, 0.5, inf)).unwrap();
         assert_eq!(base_run.times(), full.times());
     }
 

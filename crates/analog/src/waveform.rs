@@ -375,6 +375,13 @@ impl CrossingDetector {
         self.seg_end = None;
         crossing
     }
+
+    /// The earliest time a crossing completed by a later sample can be
+    /// dated: it interpolates in a segment starting at the last sample
+    /// strictly off the threshold (or the first sample), never before.
+    pub(crate) fn earliest_pending(&self) -> f64 {
+        self.off.0
+    }
 }
 
 /// Propagation delay from an edge on `input` to the corresponding edge on

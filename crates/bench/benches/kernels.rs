@@ -40,7 +40,7 @@ fn bench_transient(c: &mut Criterion) {
     c.bench_function("transient/transition_chain7", |b| {
         b.iter(|| {
             black_box(
-                path.propagate_transition(Edge::Rising, None)
+                path.propagate_transition(Edge::Rising, f64::INFINITY, None)
                     .expect("transient"),
             )
         })

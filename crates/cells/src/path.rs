@@ -217,7 +217,9 @@ impl PulseOutcome {
 #[derive(Debug, Clone, Copy)]
 pub struct TransitionOutcome {
     /// Input-edge to output-edge propagation delay at `vdd/2`, or `None`
-    /// when the output never switched within the simulated window.
+    /// when the output never switched within the simulated window or the
+    /// delay exceeds the run's horizon (see
+    /// [`BuiltPath::propagate_transition`]).
     pub delay: Option<f64>,
     /// The edge direction expected (and looked for) at the output.
     pub output_edge: Edge,
@@ -909,24 +911,34 @@ impl BuiltPath {
     }
 
     /// Applies a single input transition and measures the propagation
-    /// delay to the output at `vdd/2`.
+    /// delay to the output at `vdd/2`, up to the horizon `within`
+    /// (seconds, non-negative; `f64::INFINITY` for the exact delay).
+    ///
+    /// The delay comes back bit-identical to the full window's whenever
+    /// the full-window run succeeds with a delay `≤ within`. Otherwise it
+    /// is `None`: the transition was swallowed, or its delay is `>
+    /// within` (the run may then not have simulated far enough to know
+    /// which).
     ///
     /// With `cfg = None` the default window ends early under
-    /// [`StopRule::Crossed`]: at the point that completes the output
-    /// crossing the delay is measured to, so the delay is bit-identical
-    /// to the full window's whenever the full-window run succeeds. A
-    /// full-window run that would fail after that point (e.g.
-    /// [`Error::NoConvergence`]) is not reproduced: the stopped run
-    /// succeeds with the delay. A swallowed transition still runs to the
-    /// window's end. A caller-supplied `cfg` runs with its own
-    /// [`TranConfig::stop_rule`].
+    /// [`StopRule::Crossed`] with this horizon: at the point that
+    /// completes the output crossing the delay is measured to, or at the
+    /// first point where no crossing can still come within `within` of the
+    /// input edge. A full-window run that would fail after that point
+    /// (e.g. [`Error::NoConvergence`]) is not reproduced: the stopped run
+    /// succeeds. A swallowed transition with `within = +∞` still runs to
+    /// the window's end. A caller-supplied `cfg` runs with its own
+    /// [`TranConfig::stop_rule`]; the horizon then only filters the
+    /// measured delay.
     ///
     /// # Errors
     ///
-    /// Propagates simulator errors.
+    /// Propagates simulator errors; a negative or NaN `within` is
+    /// rejected as [`Error::InvalidTranConfig`] on the default window.
     pub fn propagate_transition(
         &mut self,
         input_edge: Edge,
+        within: f64,
         cfg: Option<&TranConfig>,
     ) -> Result<TransitionOutcome, Error> {
         let (v1, v2) = match input_edge {
@@ -953,6 +965,7 @@ impl BuiltPath {
                 output_edge,
                 threshold: vth,
                 after,
+                within,
             },
             ..self.default_cfg(0.0)
         };
@@ -963,7 +976,8 @@ impl BuiltPath {
 
         let tin = res.trace(self.input);
         let tout = res.trace(self.output());
-        let delay = propagation_delay(&tin, input_edge, &tout, output_edge, vth, after);
+        let delay = propagation_delay(&tin, input_edge, &tout, output_edge, vth, after)
+            .filter(|&d| d <= within);
         Ok(TransitionOutcome { delay, output_edge })
     }
 }
@@ -1102,7 +1116,9 @@ mod tests {
     fn fault_free_chain_propagates_transition() {
         let spec = PathSpec::inverter_chain(3);
         let mut p = BuiltPath::new(&spec, &PathFault::None, &techs(3));
-        let out = p.propagate_transition(Edge::Rising, None).unwrap();
+        let out = p
+            .propagate_transition(Edge::Rising, f64::INFINITY, None)
+            .unwrap();
         let d = out.delay.expect("fault-free path must switch");
         assert!(
             d > 0.0 && d < 2e-9,
@@ -1171,12 +1187,12 @@ mod tests {
         // Stage 1's rising output is exercised by a rising PI (two
         // inversions upstream of stage 1's output).
         let d_clean_r = clean
-            .propagate_transition(Edge::Rising, None)
+            .propagate_transition(Edge::Rising, f64::INFINITY, None)
             .unwrap()
             .delay
             .unwrap();
         let d_fault_r = faulty
-            .propagate_transition(Edge::Rising, None)
+            .propagate_transition(Edge::Rising, f64::INFINITY, None)
             .unwrap()
             .delay
             .unwrap();
@@ -1188,12 +1204,12 @@ mod tests {
         // The opposite input edge exercises stage 1's falling output: the
         // pull-up ROP must leave it (nearly) untouched.
         let d_clean_f = clean
-            .propagate_transition(Edge::Falling, None)
+            .propagate_transition(Edge::Falling, f64::INFINITY, None)
             .unwrap()
             .delay
             .unwrap();
         let d_fault_f = faulty
-            .propagate_transition(Edge::Falling, None)
+            .propagate_transition(Edge::Falling, f64::INFINITY, None)
             .unwrap()
             .delay
             .unwrap();
@@ -1241,8 +1257,16 @@ mod tests {
         let mut clean = BuiltPath::new(&spec, &PathFault::None, &techs(7));
 
         for e in [Edge::Rising, Edge::Falling] {
-            let dc = clean.propagate_transition(e, None).unwrap().delay.unwrap();
-            let df = faulty.propagate_transition(e, None).unwrap().delay.unwrap();
+            let dc = clean
+                .propagate_transition(e, f64::INFINITY, None)
+                .unwrap()
+                .delay
+                .unwrap();
+            let df = faulty
+                .propagate_transition(e, f64::INFINITY, None)
+                .unwrap()
+                .delay
+                .unwrap();
             assert!(
                 df > dc + 80e-12,
                 "external ROP must slow {e:?} transitions: clean {dc:e}, faulty {df:e}"
@@ -1264,12 +1288,12 @@ mod tests {
         let mut clean = BuiltPath::new(&spec, &PathFault::None, &techs(7));
 
         let dc = clean
-            .propagate_transition(Edge::Rising, None)
+            .propagate_transition(Edge::Rising, f64::INFINITY, None)
             .unwrap()
             .delay
             .unwrap();
         let df = faulty
-            .propagate_transition(Edge::Rising, None)
+            .propagate_transition(Edge::Rising, f64::INFINITY, None)
             .unwrap()
             .delay
             .unwrap();
@@ -1420,12 +1444,12 @@ mod tests {
             wf.output_width
         );
         let df = fixed
-            .propagate_transition(Edge::Rising, None)
+            .propagate_transition(Edge::Rising, f64::INFINITY, None)
             .unwrap()
             .delay
             .unwrap();
         let da = adaptive
-            .propagate_transition(Edge::Rising, None)
+            .propagate_transition(Edge::Rising, f64::INFINITY, None)
             .unwrap()
             .delay
             .unwrap();
@@ -1470,7 +1494,7 @@ mod tests {
         );
         // Static logic still works above critical resistance.
         let d = faulty
-            .propagate_transition(Edge::Rising, None)
+            .propagate_transition(Edge::Rising, f64::INFINITY, None)
             .unwrap()
             .delay;
         assert!(d.is_some(), "2 kΩ internal bridge should stay functional");
@@ -1542,7 +1566,10 @@ mod tests {
             fanout_loads: vec![0; 4],
         };
         let mut p = BuiltPath::new(&spec, &PathFault::None, &techs(4));
-        let d = p.propagate_transition(Edge::Rising, None).unwrap().delay;
+        let d = p
+            .propagate_transition(Edge::Rising, f64::INFINITY, None)
+            .unwrap()
+            .delay;
         assert!(
             d.is_some(),
             "complex-gate path must be sensitized by construction"
@@ -1584,11 +1611,11 @@ mod tests {
             assert_eq!(a.stage_widths, b.stage_widths, "at {r:e} Ω");
         }
         let da = reuse
-            .propagate_transition(Edge::Rising, None)
+            .propagate_transition(Edge::Rising, f64::INFINITY, None)
             .unwrap()
             .delay;
         let db = baseline
-            .propagate_transition(Edge::Rising, None)
+            .propagate_transition(Edge::Rising, f64::INFINITY, None)
             .unwrap()
             .delay;
         assert_eq!(da, db);
@@ -1706,7 +1733,9 @@ mod tests {
             fanout_loads: vec![0, 1, 0, 0],
         };
         let mut p = BuiltPath::new(&spec, &PathFault::None, &techs(4));
-        let out = p.propagate_transition(Edge::Rising, None).unwrap();
+        let out = p
+            .propagate_transition(Edge::Rising, f64::INFINITY, None)
+            .unwrap();
         assert!(
             out.delay.is_some(),
             "mixed-cell path must be sensitized by construction"

@@ -1,7 +1,9 @@
 //! Contract of the measurement-only early stops: `propagate_transition`
 //! and `pulse_width_only` with the default window (`cfg = None`) end the
 //! transient once the answer is decided, and must return the same bits
-//! as an explicit full-window run of the same configuration.
+//! as an explicit full-window run of the same configuration. With a
+//! finite horizon, `propagate_transition` also ends once the delay is
+//! known to exceed it, and reports no delay.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -121,8 +123,8 @@ proptest! {
         };
 
         let full = p.default_config(0.0);
-        let early = p.propagate_transition(edge, None).map(|o| o.delay.map(f64::to_bits));
-        let reference = p.propagate_transition(edge, Some(&full)).map(|o| o.delay.map(f64::to_bits));
+        let early = p.propagate_transition(edge, f64::INFINITY, None).map(|o| o.delay.map(f64::to_bits));
+        let reference = p.propagate_transition(edge, f64::INFINITY, Some(&full)).map(|o| o.delay.map(f64::to_bits));
         check_contract(early, reference, "delay", fault)?;
 
         let full = p.default_config(w_in);
@@ -132,23 +134,118 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The clock-side horizon: a delay at or below `within` is the full
+    /// window's to the bit, anything else (a slower or a swallowed
+    /// transition) is `None`. Horizons are drawn on the delay itself, one
+    /// ulp below it, around it, at `+∞`, and at random absolute values.
+    #[test]
+    fn horizon_keeps_delays_within_it_and_censors_the_rest(
+        kind in 0usize..7,
+        stage in 0usize..3,
+        log_r in 3.0f64..6.0,
+        rung in 0u32..4,
+        step_scale in 0.5f64..1.0,
+        adaptive: bool,
+        rising: bool,
+        mode in 0usize..5,
+        frac in 0.0f64..2.0,
+        abs in 0.0f64..5e-9,
+    ) {
+        let fault = fault_of(kind, stage, 10f64.powf(log_r));
+        let mut p = build(fault);
+        p.set_adaptive(adaptive);
+        p.set_robustness(rung, step_scale);
+        let edge = if rising { Edge::Rising } else { Edge::Falling };
+
+        let full = p.default_config(0.0);
+        let reference = p
+            .propagate_transition(edge, f64::INFINITY, Some(&full))
+            .map(|o| o.delay);
+        let within = match (mode, &reference) {
+            (0, Ok(Some(d))) => *d,
+            (1, Ok(Some(d))) => d.next_down(),
+            (2, Ok(Some(d))) => d * frac,
+            (3, _) => f64::INFINITY,
+            _ => abs,
+        };
+        let early = p
+            .propagate_transition(edge, within, None)
+            .map(|o| o.delay.map(f64::to_bits));
+        match reference {
+            Ok(Some(d)) if d <= within => prop_assert_eq!(
+                early,
+                Ok(Some(d.to_bits())),
+                "delay {:e} within {:e} ({:?})",
+                d,
+                within,
+                fault
+            ),
+            // Slower than the horizon (so `d > within`) or swallowed.
+            Ok(_) => prop_assert_eq!(
+                early,
+                Ok(None),
+                "reference {:?} past horizon {:e} ({:?})",
+                reference,
+                within,
+                fault
+            ),
+            Err(f) => {
+                if let Err(e) = early {
+                    prop_assert_eq!(e, f, "error past horizon {:e} ({:?})", within, fault);
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn df_rule_ends_before_the_window_on_the_paper_path() {
     let mut p = build(PathFault::None);
     let full = p.default_config(0.0);
     let early = steps(&mut p, |p| {
         assert!(p
-            .propagate_transition(Edge::Rising, None)
+            .propagate_transition(Edge::Rising, f64::INFINITY, None)
             .unwrap()
             .delay
             .is_some());
     });
     let window = steps(&mut p, |p| {
-        p.propagate_transition(Edge::Rising, Some(&full)).unwrap();
+        p.propagate_transition(Edge::Rising, f64::INFINITY, Some(&full))
+            .unwrap();
     });
     assert!(
         early < window,
         "crossing rule must stop early: {early} vs {window} points"
+    );
+}
+
+#[test]
+fn horizon_stops_a_slow_transition_before_its_output_crosses() {
+    let mut p = build(PathFault::ExternalRop {
+        stage: 1,
+        ohms: 300e3,
+    });
+    let mut delay = None;
+    let exact = steps(&mut p, |p| {
+        delay = p
+            .propagate_transition(Edge::Rising, f64::INFINITY, None)
+            .unwrap()
+            .delay;
+    });
+    let d = delay.expect("a 300 kOhm open still switches");
+    let cut = steps(&mut p, |p| {
+        delay = p
+            .propagate_transition(Edge::Rising, 0.25 * d, None)
+            .unwrap()
+            .delay;
+    });
+    assert_eq!(delay, None);
+    assert!(
+        2 * cut < exact,
+        "the horizon must cut the slow run short: {cut} vs {exact} points"
     );
 }
 
@@ -163,11 +260,15 @@ fn swallowed_transition_runs_the_full_window() {
     let full = p.default_config(0.0);
     let mut delay = Some(0.0);
     let early = steps(&mut p, |p| {
-        delay = p.propagate_transition(Edge::Rising, None).unwrap().delay;
+        delay = p
+            .propagate_transition(Edge::Rising, f64::INFINITY, None)
+            .unwrap()
+            .delay;
     });
     assert_eq!(delay, None, "the transition must be swallowed");
     let window = steps(&mut p, |p| {
-        p.propagate_transition(Edge::Rising, Some(&full)).unwrap();
+        p.propagate_transition(Edge::Rising, f64::INFINITY, Some(&full))
+            .unwrap();
     });
     assert_eq!(
         early, window,

@@ -903,6 +903,7 @@ fn cmd_study(args: &[String]) -> Result<String, CliError> {
         obs: rec.clone(),
         ..McConfig::paper(samples, seed)
     };
+    let threads = mc.worker_threads();
 
     let mut out = String::new();
     let report: Option<AdaptiveReport>;
@@ -975,6 +976,7 @@ fn cmd_study(args: &[String]) -> Result<String, CliError> {
         );
         manifest.seed = Some(seed);
         manifest.samples = Some(samples);
+        manifest.threads = Some(threads);
         manifest.tech = Some("generic_180nm".to_owned());
         if let Some(r) = &report {
             manifest.adaptive = Some(r.to_manifest());
@@ -1676,6 +1678,13 @@ INPUT(1)\nINPUT(2)\nINPUT(3)\nINPUT(6)\nINPUT(7)\nOUTPUT(22)\nOUTPUT(23)\n\
         assert!(manifest.contains("\"kind\":\"study\""), "{manifest}");
         assert!(manifest.contains("\"adaptive\""), "{manifest}");
         assert!(manifest.contains("\"achieved_halfwidth\""), "{manifest}");
+        // The MC thread count the run used: all cores, capped at N = 6.
+        let threads = McConfig::paper(6, 2007).worker_threads();
+        assert!((1..=6).contains(&threads));
+        assert!(
+            manifest.contains(&format!("\"threads\":{threads}")),
+            "{manifest}"
+        );
         pulsar_obs::json::parse(manifest.trim()).expect("manifest parses");
     }
 

@@ -36,7 +36,7 @@ pub fn critical_resistance(
         let mut p = put.instantiate_nominal(r);
         // A victim that cannot complete either transition within the
         // window has a static/functional failure.
-        Ok(p.worst_delay()?.is_infinite())
+        Ok(p.worst_delay(f64::INFINITY)?.is_infinite())
     };
 
     if functional_error(r_hi)? {
@@ -85,9 +85,9 @@ mod tests {
         );
         // Just above: functional; just below: broken.
         let mut above = bridge_put().instantiate_nominal(rc * 1.2);
-        assert!(above.worst_delay().unwrap().is_finite());
+        assert!(above.worst_delay(f64::INFINITY).unwrap().is_finite());
         let mut below = bridge_put().instantiate_nominal((rc * 0.7).max(60.0));
-        assert!(below.worst_delay().unwrap().is_infinite());
+        assert!(below.worst_delay(f64::INFINITY).unwrap().is_infinite());
     }
 
     #[test]

@@ -150,15 +150,18 @@ impl PathUnderTest {
 /// [`ModelPath`] (logic-level timing model, for large-circuit test
 /// generation).
 pub trait PathInstance {
-    /// Propagation delay for a single input transition, seconds.
+    /// Propagation delay for a single input transition, seconds, up to
+    /// the horizon `within` (non-negative; `f64::INFINITY` for the exact
+    /// delay): a delay `≤ within` is exact, one `> within` comes back as
+    /// `f64::INFINITY`. An output that never switches inside the
+    /// simulation window is `f64::INFINITY` too, so slack arithmetic
+    /// stays total. The electrical engine stops its transient at the
+    /// horizon instead of simulating a verdict nobody reads.
     ///
     /// # Errors
     ///
-    /// Engine-specific failures; for the electrical engine, an output
-    /// that never switches inside the simulation window is reported as a
-    /// non-convergence error by the caller's choice — here it surfaces as
-    /// `Ok(f64::INFINITY)` so slack arithmetic stays total.
-    fn delay(&mut self, input_edge: Edge) -> Result<f64, CoreError>;
+    /// Engine-specific failures.
+    fn delay(&mut self, input_edge: Edge, within: f64) -> Result<f64, CoreError>;
 
     /// Output pulse width for an injected input pulse; `0.0` = dampened.
     ///
@@ -174,14 +177,21 @@ pub trait PathInstance {
     /// If the instance carries no defect or `ohms` is out of domain.
     fn set_resistance(&mut self, ohms: f64) -> Result<(), CoreError>;
 
-    /// Worst (slowest) delay over both input transition directions.
+    /// Worst (slowest) delay over both input transition directions, up to
+    /// the horizon `within` with the contract of [`PathInstance::delay`]:
+    /// exact when both edges are `≤ within`, `f64::INFINITY` otherwise.
+    /// A rising edge already past the horizon decides the answer, so the
+    /// falling edge is not measured.
     ///
     /// # Errors
     ///
     /// Propagates [`PathInstance::delay`] failures.
-    fn worst_delay(&mut self) -> Result<f64, CoreError> {
-        let r = self.delay(Edge::Rising)?;
-        let f = self.delay(Edge::Falling)?;
+    fn worst_delay(&mut self, within: f64) -> Result<f64, CoreError> {
+        let r = self.delay(Edge::Rising, within)?;
+        if r > within {
+            return Ok(f64::INFINITY);
+        }
+        let f = self.delay(Edge::Falling, within)?;
         Ok(r.max(f))
     }
 
@@ -246,9 +256,10 @@ impl AnalogPath {
 }
 
 impl PathInstance for AnalogPath {
-    fn delay(&mut self, input_edge: Edge) -> Result<f64, CoreError> {
-        let out = self.inner.propagate_transition(input_edge, None)?;
-        // A swallowed transition means unbounded delay for DF purposes.
+    fn delay(&mut self, input_edge: Edge, within: f64) -> Result<f64, CoreError> {
+        let out = self.inner.propagate_transition(input_edge, within, None)?;
+        // A swallowed transition, or one past the horizon, means
+        // unbounded delay for DF purposes.
         Ok(out.delay.unwrap_or(f64::INFINITY))
     }
 
@@ -389,8 +400,9 @@ impl ModelPath {
 }
 
 impl PathInstance for ModelPath {
-    fn delay(&mut self, input_edge: Edge) -> Result<f64, CoreError> {
-        Ok(self.current.delay(input_edge))
+    fn delay(&mut self, input_edge: Edge, within: f64) -> Result<f64, CoreError> {
+        let d = self.current.delay(input_edge);
+        Ok(if d > within { f64::INFINITY } else { d })
     }
 
     fn pulse_width_out(&mut self, w_in: f64, polarity: Polarity) -> Result<f64, CoreError> {
@@ -461,10 +473,28 @@ mod tests {
             tech: Tech::generic_180nm(),
         };
         let mut p = put.instantiate_nominal(25e3);
-        let worst = p.worst_delay().unwrap();
-        let fast = p.delay(Edge::Falling).unwrap();
+        let worst = p.worst_delay(f64::INFINITY).unwrap();
+        let fast = p.delay(Edge::Falling, f64::INFINITY).unwrap();
         assert!(worst >= fast);
         assert!(worst > fast + 50e-12, "one-edge ROP must split the edges");
+    }
+
+    #[test]
+    fn model_delays_past_the_horizon_read_infinite() {
+        let mf = ModelFault::EdgeSlow {
+            stage: 1,
+            edge: Edge::Rising,
+            c_load: 20e-15,
+        };
+        let mut p = ModelPath::new(healthy_chain(7), Some(mf), 30e3);
+        let exact = p.worst_delay(f64::INFINITY).unwrap();
+        assert_eq!(p.worst_delay(exact).unwrap().to_bits(), exact.to_bits());
+        assert_eq!(p.worst_delay(exact.next_down()).unwrap(), f64::INFINITY);
+        for edge in [Edge::Rising, Edge::Falling] {
+            let d = p.delay(edge, f64::INFINITY).unwrap();
+            assert_eq!(p.delay(edge, d).unwrap().to_bits(), d.to_bits());
+            assert_eq!(p.delay(edge, 0.5 * d).unwrap(), f64::INFINITY);
+        }
     }
 
     #[test]
@@ -490,8 +520,8 @@ mod tests {
         let mut p = ModelPath::new(healthy_chain(5), Some(mf), 10e3);
         // Delay for the input edge that exercises stage 1's rising output
         // (two inversions upstream of stage 1's output → Rising input).
-        let slow = p.delay(Edge::Rising).unwrap();
-        let fast = p.delay(Edge::Falling).unwrap();
+        let slow = p.delay(Edge::Rising, f64::INFINITY).unwrap();
+        let fast = p.delay(Edge::Falling, f64::INFINITY).unwrap();
         assert!(
             slow > fast + 200e-12,
             "300 ps edge slow must show: {slow:e} vs {fast:e}"
@@ -503,7 +533,7 @@ mod tests {
         let mut p = ModelPath::new(healthy_chain(3), None, 0.0);
         assert!(p.set_resistance(1e3).is_err());
         // But measurements work.
-        assert!(p.delay(Edge::Rising).unwrap() > 0.0);
+        assert!(p.delay(Edge::Rising, f64::INFINITY).unwrap() > 0.0);
     }
 
     #[test]
@@ -564,8 +594,8 @@ mod tests {
                     proptest::prop_assert_eq!(swept.model(), fresh.model());
                     for edge in [Edge::Rising, Edge::Falling] {
                         proptest::prop_assert_eq!(
-                            swept.delay(edge).unwrap().to_bits(),
-                            fresh.delay(edge).unwrap().to_bits()
+                            swept.delay(edge, f64::INFINITY).unwrap().to_bits(),
+                            fresh.delay(edge, f64::INFINITY).unwrap().to_bits()
                         );
                     }
                     for w_in in [150e-12, 400e-12, 1.2e-9] {

@@ -257,7 +257,7 @@ impl ModelDfStudy {
             .run(move |_, rng| {
                 let (inst, ff) = self.draw(rng);
                 let mut p = ModelPath::new(inst, None, 0.0);
-                Ok(p.worst_delay()? + ff.overhead())
+                Ok(p.worst_delay(f64::INFINITY)? + ff.overhead())
             })
             .into_iter()
             .collect()
@@ -291,7 +291,7 @@ impl ModelDfStudy {
                 let mut row = Vec::with_capacity(r_vec.len());
                 for &r in &r_vec {
                     p.set_resistance(r)?;
-                    row.push(p.worst_delay()? + ff.overhead());
+                    row.push(p.worst_delay(f64::INFINITY)? + ff.overhead());
                 }
                 Ok(row)
             })

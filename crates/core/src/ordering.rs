@@ -81,7 +81,7 @@ impl OrderingStudy {
                 let techs = self.draw_ref(i, n_ref);
                 let spec = PathSpec::inverter_chain(n_ref);
                 let mut p = pulsar_cells::BuiltPath::new(&spec, &PathFault::None, &techs);
-                let out = p.propagate_transition(Edge::Rising, None)?;
+                let out = p.propagate_transition(Edge::Rising, f64::INFINITY, None)?;
                 Ok(out.delay.unwrap_or(f64::INFINITY))
             })
             .into_iter()
@@ -98,7 +98,7 @@ impl OrderingStudy {
             .run(move |_, rng| {
                 let techs = self.draw_mon(rng);
                 let mut p = self.put.instantiate_fault_free(&techs);
-                p.delay(Edge::Rising)
+                p.delay(Edge::Rising, f64::INFINITY)
             })
             .into_iter()
             .collect()
@@ -159,7 +159,7 @@ impl OrderingStudy {
                 let mut row = Vec::with_capacity(r_vec.len());
                 for &r in &r_vec {
                     p.set_resistance(r)?;
-                    row.push(p.delay(Edge::Rising)?);
+                    row.push(p.delay(Edge::Rising, f64::INFINITY)?);
                 }
                 Ok(row)
             })
@@ -257,13 +257,13 @@ mod tests {
         let s = study();
         let cal = s.calibrate().unwrap();
         let mut clean = s.put.instantiate_fault_free(&vec![s.put.tech; 7]);
-        let d0 = clean.delay(Edge::Rising).unwrap();
+        let d0 = clean.delay(Edge::Rising, f64::INFINITY).unwrap();
         // Find a resistance whose *nominal* extra delay is half the margin.
         let mut p = s.put.instantiate_nominal(1e3);
         let mut r_small = 1e3;
         for r in [1e3, 2e3, 4e3, 8e3] {
             p.set_resistance(r).unwrap();
-            if p.delay(Edge::Rising).unwrap() - d0 < 0.5 * cal.min_margin {
+            if p.delay(Edge::Rising, f64::INFINITY).unwrap() - d0 < 0.5 * cal.min_margin {
                 r_small = r;
             }
         }

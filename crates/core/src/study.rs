@@ -76,6 +76,13 @@ impl McConfig {
         }
     }
 
+    /// Worker threads this configuration's Monte Carlo runs use: the
+    /// [`McConfig::threads`] request (all cores when `None`), capped at
+    /// the sample count.
+    pub fn worker_threads(&self) -> usize {
+        self.driver().threads()
+    }
+
     pub(crate) fn driver(&self) -> MonteCarlo {
         let mc = MonteCarlo::new(self.samples, self.seed);
         match self.threads {
@@ -445,6 +452,103 @@ fn adopt_symbolic(p: &mut AnalogPath, cache: &Option<SymbolicCache>) {
     }
 }
 
+/// Absolute part of the guard [`delay_horizon`] adds, seconds.
+const HORIZON_GUARD: f64 = 1e-12;
+
+/// Relative part of the guard [`delay_horizon`] adds: a million times the
+/// unit round-off, so it dominates every rounding error of the horizon
+/// arithmetic at any magnitude.
+const HORIZON_GUARD_REL: f64 = 1e-9;
+
+/// The largest tested clock period `max(factor × T₀)`: a faulty slack
+/// need above it is detected at every factor, so its exact value is never
+/// read. `+∞` (no horizon) when no tested period is finite.
+fn clock_horizon(calib: &DfCalibration, t_factors: &[f64]) -> f64 {
+    let t_max = t_factors
+        .iter()
+        .map(|&f| f * calib.t0)
+        .fold(f64::NEG_INFINITY, f64::max);
+    if t_max.is_finite() {
+        t_max
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// The delay horizon of one DF sample whose flop adds `overhead`:
+/// `t_max − overhead` plus a guard, floored at zero (`+∞` when either
+/// input is not finite).
+///
+/// Soundness: a delay `d > within` must give a need `fl(d + overhead)`
+/// above `t_max`, hence above every tested period. Over the three
+/// roundings involved (`t_max − overhead`, `+ guard`, `d + overhead`)
+/// each value moves by at most `2⁻⁵³` of its magnitude, which near the
+/// decision point `d ≈ t_max − overhead` is far below the guard of
+/// `max(1 ps, 1e-9 × (|t_max| + |overhead|))`; a larger `d` only adds
+/// margin, and the zero floor only raises the horizon.
+fn delay_horizon(t_max: f64, overhead: f64) -> f64 {
+    if !(t_max.is_finite() && overhead.is_finite()) {
+        return f64::INFINITY;
+    }
+    let guard = HORIZON_GUARD.max((t_max.abs() + overhead.abs()) * HORIZON_GUARD_REL);
+    (t_max - overhead + guard).max(0.0)
+}
+
+/// The clock-horizon part of a DF checkpoint digest: `T₀` and the
+/// horizon, as bit patterns.
+fn horizon_repr(calib: &DfCalibration, t_factors: &[f64]) -> String {
+    format!(
+        " t0={:016x} horizon={:016x}",
+        calib.t0.to_bits(),
+        clock_horizon(calib, t_factors).to_bits()
+    )
+}
+
+/// Rejects a checkpoint opened under a spec other than `expected`: its
+/// records would belong to a different experiment.
+fn ensure_spec(ck: &Checkpoint<Vec<f64>>, expected: &CheckpointSpec) -> Result<(), CoreError> {
+    if ck.spec() == expected {
+        return Ok(());
+    }
+    Err(CoreError::Checkpoint {
+        reason: format!(
+            "checkpoint {} was opened under a different study spec",
+            ck.path().display()
+        ),
+    })
+}
+
+/// One [`CoverageCurve`] per factor over the resolved `rows`: at factor
+/// `f`, a row detects the defect at resistance `r_values[ri]` when
+/// `detected(f, row[ri])`.
+fn coverage_curves(
+    rows: &[&Vec<f64>],
+    r_values: &[f64],
+    factors: &[f64],
+    detected: impl Fn(f64, f64) -> bool,
+    unresolved: f64,
+    completeness: Completeness,
+) -> Vec<CoverageCurve> {
+    factors
+        .iter()
+        .map(|&f| {
+            let coverage = (0..r_values.len())
+                .map(|ri| {
+                    let hits = rows.iter().filter(|row| detected(f, row[ri])).count();
+                    hits as f64 / rows.len().max(1) as f64
+                })
+                .collect();
+            CoverageCurve {
+                factor: f,
+                resistance: r_values.to_vec(),
+                coverage,
+                unresolved,
+                completeness,
+            }
+        })
+        .collect()
+}
+
 /// One coverage-vs-resistance series, at one setting of the method's
 /// free parameter (`T/T₀` for DF, `ω_th/ω_th⁰` for the pulse test).
 #[derive(Debug, Clone, PartialEq)]
@@ -564,7 +668,7 @@ impl DfStudy {
                 p.set_recorder(rec.clone());
                 adopt_symbolic(&mut p, &symbolic);
                 prepare_for_attempt(&mut p, attempt, rng, self.mc.dc_warm_start);
-                Ok(p.worst_delay()? + ff.overhead())
+                Ok(p.worst_delay(f64::INFINITY)? + ff.overhead())
             })
     }
 
@@ -590,7 +694,8 @@ impl DfStudy {
     }
 
     /// Faulty slack needs with per-sample fault isolation:
-    /// `outcomes[sample]` resolves to the per-resistance row.
+    /// `outcomes[sample]` resolves to the per-resistance row. Every need
+    /// is exact (no clock horizon).
     ///
     /// # Errors
     ///
@@ -599,30 +704,11 @@ impl DfStudy {
     /// [`CoreError::FailureBudgetExceeded`] when too many samples stay
     /// failed after retries.
     pub fn try_faulty_needs(&self, r_values: &[f64]) -> Result<McRunReport<Vec<f64>>, CoreError> {
-        lint_preflight(&self.put, Some(r_values))?;
-        let r_values = r_values.to_vec();
-        let nominal_techs = vec![self.put.tech; self.put.spec.len()];
-        let symbolic = prime_or_adopt(&self.mc, || {
-            self.put.instantiate(&nominal_techs, r_values[0])
-        });
-        self.mc
-            .try_run_samples_with("df-faulty", move |_, attempt, rng, rec| {
-                let (techs, ff) = self.draw(rng);
-                let mut p = self.put.instantiate(&techs, r_values[0]);
-                p.set_recorder(rec.clone());
-                adopt_symbolic(&mut p, &symbolic);
-                prepare_for_attempt(&mut p, attempt, rng, self.mc.dc_warm_start);
-                let mut row = Vec::with_capacity(r_values.len());
-                for &r in &r_values {
-                    p.set_resistance(r)?;
-                    row.push(p.worst_delay()? + ff.overhead());
-                }
-                Ok(row)
-            })
+        self.faulty_run(r_values, f64::INFINITY)
     }
 
     /// Slack needs of every *resolved* instance at every defect
-    /// resistance: `needs[sample][r_index]`.
+    /// resistance: `needs[sample][r_index]`, exact.
     ///
     /// # Errors
     ///
@@ -631,8 +717,36 @@ impl DfStudy {
         Ok(self.try_faulty_needs(r_values)?.into_resolved())
     }
 
+    /// The per-sample body shared by every faulty-needs run, up to the
+    /// clock horizon `t_max` ([`clock_horizon`]; `+∞` for exact needs).
+    /// Primes (or adopts) the symbolic factorization at `r0` once, here.
+    fn needs_row(&self, r0: f64, t_max: f64) -> NeedsRow<'_> {
+        let nominal_techs = vec![self.put.tech; self.put.spec.len()];
+        NeedsRow {
+            study: self,
+            symbolic: prime_or_adopt(&self.mc, || self.put.instantiate(&nominal_techs, r0)),
+            t_max,
+        }
+    }
+
+    /// [`DfStudy::try_faulty_needs`] up to the clock horizon `t_max`.
+    fn faulty_run(&self, r_values: &[f64], t_max: f64) -> Result<McRunReport<Vec<f64>>, CoreError> {
+        lint_preflight(&self.put, Some(r_values))?;
+        let row = self.needs_row(r_values[0], t_max);
+        self.mc
+            .try_run_samples_with("df-faulty", |_, attempt, rng, rec| {
+                row.eval(attempt, rng, rec, None, r_values)
+            })
+    }
+
     /// Full study: `C_del(R)` curves at each `T = factor × T₀`
     /// (the paper plots factors 0.9 / 1.0 / 1.1).
+    ///
+    /// Each transition is simulated only up to the largest tested clock:
+    /// a faulty need past `max(factor) × T₀` (plus a 1 ps rounding guard)
+    /// fails every tested clock and is recorded as `+∞` without
+    /// simulating further. The curves are identical to the ones computed
+    /// from the exact [`DfStudy::faulty_needs`].
     ///
     /// # Errors
     ///
@@ -660,47 +774,46 @@ impl DfStudy {
         r_values: &[f64],
         t_factors: &[f64],
     ) -> Result<(Vec<CoverageCurve>, FailureReport), CoreError> {
-        let report = self.try_faulty_needs(r_values)?;
+        let report = self.faulty_run(r_values, clock_horizon(calib, t_factors))?;
         let needs: Vec<&Vec<f64>> = report.resolved().collect();
-        let unresolved = report.unresolved_fraction();
-        let curves = t_factors
-            .iter()
-            .map(|&f| {
-                let t_test = f * calib.t0;
-                let coverage = (0..r_values.len())
-                    .map(|ri| {
-                        let detected = needs.iter().filter(|row| t_test < row[ri]).count();
-                        detected as f64 / needs.len().max(1) as f64
-                    })
-                    .collect();
-                CoverageCurve {
-                    factor: f,
-                    resistance: r_values.to_vec(),
-                    coverage,
-                    unresolved,
-                    completeness: Completeness::full(report.failures.samples),
-                }
-            })
-            .collect();
+        let curves = coverage_curves(
+            &needs,
+            r_values,
+            t_factors,
+            |f, need| f * calib.t0 < need,
+            report.unresolved_fraction(),
+            Completeness::full(report.failures.samples),
+        );
         Ok((curves, report.failures))
     }
 
-    /// The [`CheckpointSpec`] identifying a durable
-    /// [`DfStudy::try_faulty_needs_durable`] run: the digest covers the
-    /// path under test, the variation model, flop timing, and the exact
-    /// resistance sweep (bit patterns), so a checkpoint can never resume a
-    /// different experiment.
-    pub fn faulty_checkpoint_spec(&self, r_values: &[f64]) -> CheckpointSpec {
-        let digest = pulsar_obs::config_digest(&format!(
+    /// The [`CheckpointSpec`] identifying a durable faulty-needs run: the
+    /// digest covers the path under test, the variation model, flop
+    /// timing, and the exact resistance sweep (bit patterns), so a
+    /// checkpoint can never resume a different experiment. `clock` is
+    /// `None` for [`DfStudy::try_faulty_needs_durable`] (exact needs) and
+    /// the `(calibration, factors)` of a [`DfStudy::coverage_durable`]
+    /// run, whose rows are cut at the clock horizon: the digest then also
+    /// covers `T₀` and the horizon, so rows censored under one factor set
+    /// never resume under a larger one.
+    pub fn faulty_checkpoint_spec(
+        &self,
+        r_values: &[f64],
+        clock: Option<(&DfCalibration, &[f64])>,
+    ) -> CheckpointSpec {
+        let mut repr = format!(
             "df-faulty put={:?} variation={:?} ff={:?} margin={:016x} r={:?}",
             self.put,
             self.mc.variation,
             self.ff,
             self.clock_margin.to_bits(),
             r_values.iter().map(|r| r.to_bits()).collect::<Vec<_>>()
-        ));
+        );
+        if let Some((calib, t_factors)) = clock {
+            repr.push_str(&horizon_repr(calib, t_factors));
+        }
         CheckpointSpec {
-            config_digest: digest,
+            config_digest: pulsar_obs::config_digest(&repr),
             seed: self.mc.seed,
             samples: self.mc.samples,
         }
@@ -710,48 +823,52 @@ impl DfStudy {
     /// plus deadlines, per-sample timeouts, and panic containment from
     /// [`McConfig::try_run_samples_durable`]. The attempt's cancellation
     /// token is installed in the solver workspace, so a deadline interrupts
-    /// a sample *mid-solve*, not just between samples.
+    /// a sample *mid-solve*, not just between samples. `checkpoint` must
+    /// have been opened under [`DfStudy::faulty_checkpoint_spec`] with
+    /// `clock = None`.
     ///
     /// # Errors
     ///
     /// As for [`DfStudy::try_faulty_needs`], plus
-    /// [`CoreError::Checkpoint`] on checkpoint failures.
+    /// [`CoreError::Checkpoint`] on checkpoint failures or a checkpoint
+    /// opened under a different spec.
     pub fn try_faulty_needs_durable(
         &self,
         r_values: &[f64],
         run_token: &CancelToken,
         checkpoint: Option<&Checkpoint<Vec<f64>>>,
     ) -> Result<DurableRun<Vec<f64>>, CoreError> {
+        self.faulty_run_durable(r_values, None, run_token, checkpoint)
+    }
+
+    /// [`DfStudy::try_faulty_needs_durable`] up to the horizon of `clock`.
+    fn faulty_run_durable(
+        &self,
+        r_values: &[f64],
+        clock: Option<(&DfCalibration, &[f64])>,
+        run_token: &CancelToken,
+        checkpoint: Option<&Checkpoint<Vec<f64>>>,
+    ) -> Result<DurableRun<Vec<f64>>, CoreError> {
         lint_preflight(&self.put, Some(r_values))?;
-        let r_values = r_values.to_vec();
-        let nominal_techs = vec![self.put.tech; self.put.spec.len()];
-        let symbolic = prime_or_adopt(&self.mc, || {
-            self.put.instantiate(&nominal_techs, r_values[0])
-        });
+        if let Some(ck) = checkpoint {
+            ensure_spec(ck, &self.faulty_checkpoint_spec(r_values, clock))?;
+        }
+        let t_max = clock.map_or(f64::INFINITY, |(calib, f)| clock_horizon(calib, f));
+        let row = self.needs_row(r_values[0], t_max);
         self.mc.try_run_samples_durable(
             "df-faulty",
             run_token,
             checkpoint,
-            move |_, attempt, rng, rec, token| {
-                let (techs, ff) = self.draw(rng);
-                let mut p = self.put.instantiate(&techs, r_values[0]);
-                p.set_recorder(rec.clone());
-                p.set_cancel(token.clone());
-                adopt_symbolic(&mut p, &symbolic);
-                prepare_for_attempt(&mut p, attempt, rng, self.mc.dc_warm_start);
-                let mut row = Vec::with_capacity(r_values.len());
-                for &r in &r_values {
-                    p.set_resistance(r)?;
-                    row.push(p.worst_delay()? + ff.overhead());
-                }
-                Ok(row)
-            },
+            |_, attempt, rng, rec, token| row.eval(attempt, rng, rec, Some(token), r_values),
         )
     }
 
     /// Durable variant of [`DfStudy::coverage_with_report`]: coverage over
     /// whatever samples completed, with the honest denominator recorded in
-    /// each curve's [`CoverageCurve::completeness`].
+    /// each curve's [`CoverageCurve::completeness`]. Transitions stop at
+    /// the clock horizon as in [`DfStudy::coverage`]; `checkpoint` must
+    /// have been opened under [`DfStudy::faulty_checkpoint_spec`] with
+    /// `clock = Some((calib, t_factors))`.
     ///
     /// # Errors
     ///
@@ -764,28 +881,17 @@ impl DfStudy {
         run_token: &CancelToken,
         checkpoint: Option<&Checkpoint<Vec<f64>>>,
     ) -> Result<(Vec<CoverageCurve>, FailureReport), CoreError> {
-        let run = self.try_faulty_needs_durable(r_values, run_token, checkpoint)?;
+        let run =
+            self.faulty_run_durable(r_values, Some((calib, t_factors)), run_token, checkpoint)?;
         let needs: Vec<&Vec<f64>> = run.resolved_indexed().map(|(_, v)| v).collect();
-        let unresolved = run.failures.unresolved_fraction();
-        let curves = t_factors
-            .iter()
-            .map(|&f| {
-                let t_test = f * calib.t0;
-                let coverage = (0..r_values.len())
-                    .map(|ri| {
-                        let detected = needs.iter().filter(|row| t_test < row[ri]).count();
-                        detected as f64 / needs.len().max(1) as f64
-                    })
-                    .collect();
-                CoverageCurve {
-                    factor: f,
-                    resistance: r_values.to_vec(),
-                    coverage,
-                    unresolved,
-                    completeness: run.completeness,
-                }
-            })
-            .collect();
+        let curves = coverage_curves(
+            &needs,
+            r_values,
+            t_factors,
+            |f, need| f * calib.t0 < need,
+            run.failures.unresolved_fraction(),
+            run.completeness,
+        );
         Ok((curves, run.failures))
     }
 
@@ -797,6 +903,9 @@ impl DfStudy {
     /// grid, near the `C_pulse − C_del` crossover). Bit-identical across
     /// thread counts. Rejects [`McConfig::dc_warm_start`], which would
     /// couple a measurement to the sweep points evaluated before it.
+    /// Transitions stop at the clock horizon as in [`DfStudy::coverage`];
+    /// every detection verdict, and so every stopping and refinement
+    /// decision, is the one the exact needs give.
     ///
     /// # Errors
     ///
@@ -810,19 +919,23 @@ impl DfStudy {
         policy: &AdaptivePolicy,
         crossover: Option<&[CoverageCurve]>,
     ) -> Result<AdaptiveReport, CoreError> {
-        self.coverage_adaptive_inner(calib, r_values, t_factors, policy, crossover, None)
+        let t_max = clock_horizon(calib, t_factors);
+        self.coverage_adaptive_inner(calib, r_values, t_factors, policy, crossover, t_max, None)
     }
 
     /// Durable variant of [`DfStudy::coverage_adaptive`]: every evaluated
     /// sample row is checkpointed (first-pass rows at their stream index,
     /// refinement rows offset by `policy.max_samples`), and a resumed run
     /// replays the stopping decisions over the restored values — the
-    /// curves are bit-identical to an uninterrupted run.
+    /// curves are bit-identical to an uninterrupted run. `checkpoint`
+    /// must have been opened under [`DfStudy::adaptive_checkpoint_spec`]
+    /// with the same arguments.
     ///
     /// # Errors
     ///
     /// As for [`DfStudy::coverage_adaptive`], plus
-    /// [`CoreError::Checkpoint`] on checkpoint failures.
+    /// [`CoreError::Checkpoint`] on checkpoint failures or a checkpoint
+    /// opened under a different spec.
     pub fn coverage_adaptive_durable(
         &self,
         calib: &DfCalibration,
@@ -838,6 +951,7 @@ impl DfStudy {
             t_factors,
             policy,
             crossover,
+            clock_horizon(calib, t_factors),
             Some(checkpoint),
         )
     }
@@ -845,11 +959,13 @@ impl DfStudy {
     /// The [`CheckpointSpec`] identifying a durable
     /// [`DfStudy::coverage_adaptive_durable`] run. The digest additionally
     /// covers the stopping policy, the factor grid, and any crossover
-    /// reference curves, because all three steer which samples run; the
-    /// record space reserves `3 × policy.max_samples` slots (first pass
-    /// plus the refinement extension at its `max_samples` offset).
+    /// reference curves, because all three steer which samples run, and
+    /// `T₀` with the clock horizon the rows are cut at; the record space
+    /// reserves `3 × policy.max_samples` slots (first pass plus the
+    /// refinement extension at its `max_samples` offset).
     pub fn adaptive_checkpoint_spec(
         &self,
+        calib: &DfCalibration,
         r_values: &[f64],
         t_factors: &[f64],
         policy: &AdaptivePolicy,
@@ -862,7 +978,7 @@ impl DfStudy {
             .collect();
         let digest = pulsar_obs::config_digest(&format!(
             "df-adaptive put={:?} variation={:?} ff={:?} margin={:016x} policy={:?} \
-             factors={:?} r={:?} crossover={:?}",
+             factors={:?} r={:?} crossover={:?}{}",
             self.put,
             self.mc.variation,
             self.ff,
@@ -871,6 +987,7 @@ impl DfStudy {
             t_factors.iter().map(|f| f.to_bits()).collect::<Vec<_>>(),
             r_values.iter().map(|r| r.to_bits()).collect::<Vec<_>>(),
             cross_bits,
+            horizon_repr(calib, t_factors),
         ));
         CheckpointSpec {
             config_digest: digest,
@@ -879,6 +996,9 @@ impl DfStudy {
         }
     }
 
+    /// The adaptive run behind both entry points, with rows cut at the
+    /// clock horizon `t_max` (`+∞` gives exact needs).
+    #[allow(clippy::too_many_arguments)]
     fn coverage_adaptive_inner(
         &self,
         calib: &DfCalibration,
@@ -886,9 +1006,16 @@ impl DfStudy {
         t_factors: &[f64],
         policy: &AdaptivePolicy,
         crossover: Option<&[CoverageCurve]>,
+        t_max: f64,
         checkpoint: Option<&Checkpoint<Vec<f64>>>,
     ) -> Result<AdaptiveReport, CoreError> {
         lint_preflight(&self.put, Some(r_values))?;
+        if let Some(ck) = checkpoint {
+            ensure_spec(
+                ck,
+                &self.adaptive_checkpoint_spec(calib, r_values, t_factors, policy, crossover),
+            )?;
+        }
         let thresholds: Vec<f64> = t_factors.iter().map(|&f| f * calib.t0).collect();
         let grid = AdaptiveGrid {
             r_values,
@@ -896,10 +1023,7 @@ impl DfStudy {
             thresholds: &thresholds,
             detect_below: false,
         };
-        let nominal_techs = vec![self.put.tech; self.put.spec.len()];
-        let symbolic = prime_or_adopt(&self.mc, || {
-            self.put.instantiate(&nominal_techs, r_values[0])
-        });
+        let row = self.needs_row(r_values[0], t_max);
         run_adaptive(
             &self.mc,
             policy,
@@ -907,20 +1031,49 @@ impl DfStudy {
             &grid,
             crossover,
             checkpoint,
-            |_, attempt, rng, rec, active_r| {
-                let (techs, ff) = self.draw(rng);
-                let mut p = self.put.instantiate(&techs, active_r[0]);
-                p.set_recorder(rec.clone());
-                adopt_symbolic(&mut p, &symbolic);
-                prepare_for_attempt(&mut p, attempt, rng, self.mc.dc_warm_start);
-                let mut row = Vec::with_capacity(active_r.len());
-                for &r in active_r {
-                    p.set_resistance(r)?;
-                    row.push(p.worst_delay()? + ff.overhead());
-                }
-                Ok(row)
-            },
+            |_, attempt, rng, rec, active_r| row.eval(attempt, rng, rec, None, active_r),
         )
+    }
+}
+
+/// One DF sample's slack-need row, shared by every faulty-needs entry
+/// point ([`DfStudy::needs_row`]).
+struct NeedsRow<'a> {
+    study: &'a DfStudy,
+    symbolic: Option<SymbolicCache>,
+    /// Clock horizon; `+∞` for exact needs.
+    t_max: f64,
+}
+
+impl NeedsRow<'_> {
+    /// Draws the sample's instance, applies the attempt's solver
+    /// configuration, and returns its slack needs over `rs`. Each
+    /// transition is measured up to [`delay_horizon`]; a need whose delay
+    /// lies past it comes back `+∞`.
+    fn eval(
+        &self,
+        attempt: u32,
+        rng: &mut StdRng,
+        rec: &Recorder,
+        token: Option<&CancelToken>,
+        rs: &[f64],
+    ) -> Result<Vec<f64>, CoreError> {
+        let study = self.study;
+        let (techs, ff) = study.draw(rng);
+        let mut p = study.put.instantiate(&techs, rs[0]);
+        p.set_recorder(rec.clone());
+        if let Some(token) = token {
+            p.set_cancel(token.clone());
+        }
+        adopt_symbolic(&mut p, &self.symbolic);
+        prepare_for_attempt(&mut p, attempt, rng, study.mc.dc_warm_start);
+        let within = delay_horizon(self.t_max, ff.overhead());
+        let mut row = Vec::with_capacity(rs.len());
+        for &r in rs {
+            p.set_resistance(r)?;
+            row.push(p.worst_delay(within)? + ff.overhead());
+        }
+        Ok(row)
     }
 }
 
@@ -991,6 +1144,7 @@ impl PulseStudy {
         lint_preflight(&self.put, None)?;
         let techs = vec![self.put.tech; self.put.spec.len()];
         let mut p = self.put.instantiate_fault_free(&techs);
+        p.set_recorder(self.mc.obs.clone());
         let (lo, hi, n) = self.sweep;
         TransferCurve::measure(&mut p, self.polarity, lo, hi, n)
     }
@@ -1155,26 +1309,14 @@ impl PulseStudy {
     ) -> Result<(Vec<CoverageCurve>, FailureReport), CoreError> {
         let report = self.try_faulty_wouts(calib.w_in, r_values)?;
         let wouts: Vec<&Vec<f64>> = report.resolved().collect();
-        let unresolved = report.unresolved_fraction();
-        let curves = th_factors
-            .iter()
-            .map(|&f| {
-                let th = f * calib.w_th;
-                let coverage = (0..r_values.len())
-                    .map(|ri| {
-                        let detected = wouts.iter().filter(|row| row[ri] < th).count();
-                        detected as f64 / wouts.len().max(1) as f64
-                    })
-                    .collect();
-                CoverageCurve {
-                    factor: f,
-                    resistance: r_values.to_vec(),
-                    coverage,
-                    unresolved,
-                    completeness: Completeness::full(report.failures.samples),
-                }
-            })
-            .collect();
+        let curves = coverage_curves(
+            &wouts,
+            r_values,
+            th_factors,
+            |f, w| w < f * calib.w_th,
+            report.unresolved_fraction(),
+            Completeness::full(report.failures.samples),
+        );
         Ok((curves, report.failures))
     }
 
@@ -1260,26 +1402,14 @@ impl PulseStudy {
     ) -> Result<(Vec<CoverageCurve>, FailureReport), CoreError> {
         let run = self.try_faulty_wouts_durable(calib.w_in, r_values, run_token, checkpoint)?;
         let wouts: Vec<&Vec<f64>> = run.resolved_indexed().map(|(_, v)| v).collect();
-        let unresolved = run.failures.unresolved_fraction();
-        let curves = th_factors
-            .iter()
-            .map(|&f| {
-                let th = f * calib.w_th;
-                let coverage = (0..r_values.len())
-                    .map(|ri| {
-                        let detected = wouts.iter().filter(|row| row[ri] < th).count();
-                        detected as f64 / wouts.len().max(1) as f64
-                    })
-                    .collect();
-                CoverageCurve {
-                    factor: f,
-                    resistance: r_values.to_vec(),
-                    coverage,
-                    unresolved,
-                    completeness: run.completeness,
-                }
-            })
-            .collect();
+        let curves = coverage_curves(
+            &wouts,
+            r_values,
+            th_factors,
+            |f, w| w < f * calib.w_th,
+            run.failures.unresolved_fraction(),
+            run.completeness,
+        );
         Ok((curves, run.failures))
     }
 
@@ -1426,7 +1556,7 @@ mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
     use crate::engine::DefectKind;
-    use pulsar_cells::PathSpec;
+    use pulsar_cells::{PathSpec, RopSite};
 
     fn put() -> PathUnderTest {
         PathUnderTest {
@@ -1616,7 +1746,7 @@ mod tests {
         let rs = [10e3, 100e3];
         let path = tmp("df-trunc");
         let _ = std::fs::remove_file(&path);
-        let spec = study.faulty_checkpoint_spec(&rs);
+        let spec = study.faulty_checkpoint_spec(&rs, None);
         let ck = Checkpoint::create(&path, spec).unwrap();
         let full = study
             .try_faulty_needs_durable(&rs, &CancelToken::new(), Some(&ck))
@@ -1640,6 +1770,210 @@ mod tests {
             "truncation must have dropped at least one record"
         );
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// The curves `coverage` must produce, computed from exact needs.
+    fn curves_from_needs(
+        needs: &[Vec<f64>],
+        calib: &DfCalibration,
+        rs: &[f64],
+        factors: &[f64],
+    ) -> Vec<(u64, Vec<u64>)> {
+        factors
+            .iter()
+            .map(|&f| {
+                let t_test = f * calib.t0;
+                let cov = (0..rs.len())
+                    .map(|ri| {
+                        let hits = needs.iter().filter(|row| t_test < row[ri]).count();
+                        (hits as f64 / needs.len().max(1) as f64).to_bits()
+                    })
+                    .collect();
+                (f.to_bits(), cov)
+            })
+            .collect()
+    }
+
+    fn curve_bits(curves: &[CoverageCurve]) -> Vec<(u64, Vec<u64>)> {
+        curves
+            .iter()
+            .map(|c| {
+                (
+                    c.factor.to_bits(),
+                    c.coverage.iter().map(|v| v.to_bits()).collect(),
+                )
+            })
+            .collect()
+    }
+
+    /// A factor whose test period `f × T₀` equals `need` to the bit, when
+    /// one exists: the clock sits exactly on a need, the case the horizon
+    /// guard exists for.
+    fn factor_on(need: f64, calib: &DfCalibration) -> Option<f64> {
+        let mut f = need / calib.t0;
+        for _ in 0..8 {
+            let t = f * calib.t0;
+            if t == need {
+                return Some(f);
+            }
+            f = if t < need { f.next_up() } else { f.next_down() };
+        }
+        None
+    }
+
+    #[test]
+    fn df_coverage_at_the_clock_horizon_matches_exact_needs() {
+        use rand::{RngExt, SeedableRng};
+        let rs = [3e3, 30e3, 300e3];
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let policy = AdaptivePolicy {
+            min_samples: 2,
+            chunk: 2,
+            ..AdaptivePolicy::new(0.3, 6)
+        };
+        // One-edge opens on either network: one input edge is slow, the
+        // other fast, so a worst delay that skipped the falling edge
+        // without looking at the rising one would show.
+        for site in [RopSite::PullUp, RopSite::PullDown] {
+            let put = PathUnderTest {
+                defect: DefectKind::InternalRop { site },
+                ..put()
+            };
+            let study = DfStudy::new(put, tiny_mc());
+            let calib = study.calibrate().unwrap();
+            let exact = study.faulty_needs(&rs).unwrap();
+
+            let mut sets: Vec<Vec<f64>> = (0..6)
+                .map(|_| {
+                    let n = 1 + rng.random_range(0..3usize);
+                    (0..n).map(|_| 0.5 + 2.0 * rng.random::<f64>()).collect()
+                })
+                .collect();
+            // Largest tested clock exactly on a finite need.
+            let mut on_need: Vec<f64> = exact
+                .iter()
+                .flatten()
+                .copied()
+                .filter(|&n| n > 0.5 * calib.t0 && n < 2.5 * calib.t0)
+                .filter_map(|n| factor_on(n, &calib))
+                .collect();
+            on_need.truncate(3);
+            assert!(!on_need.is_empty(), "no need in the tested clock range");
+            sets.extend(on_need.into_iter().map(|f| vec![0.9 * f, f]));
+
+            let mut censored = 0;
+            for factors in &sets {
+                // Numeric contract: a need is exact, or `+∞` standing in
+                // for one past every tested clock.
+                let t_max = clock_horizon(&calib, factors);
+                let cut_rows = study.faulty_run(&rs, t_max).unwrap().into_resolved();
+                for (cut, full) in cut_rows.iter().flatten().zip(exact.iter().flatten()) {
+                    if cut.to_bits() != full.to_bits() {
+                        assert!(
+                            *cut == f64::INFINITY && *full > t_max,
+                            "{cut:e} vs {full:e}"
+                        );
+                        censored += 1;
+                    }
+                }
+
+                let expected = curves_from_needs(&exact, &calib, &rs, factors);
+                let plain = study.coverage(&calib, &rs, factors).unwrap();
+                assert_eq!(curve_bits(&plain), expected, "coverage at {factors:?}");
+                let (durable, _) = study
+                    .coverage_durable(&calib, &rs, factors, &CancelToken::new(), None)
+                    .unwrap();
+                assert_eq!(curve_bits(&durable), expected, "durable at {factors:?}");
+
+                // Adaptive: the same stopping and refinement decisions as
+                // a run over exact needs.
+                let fingerprint = |r: &AdaptiveReport| {
+                    format!("{:?}", (&r.curves, &r.points, r.evals, r.refine_evals))
+                };
+                let cut = study
+                    .coverage_adaptive(&calib, &rs, factors, &policy, None)
+                    .unwrap();
+                let full = study
+                    .coverage_adaptive_inner(
+                        &calib,
+                        &rs,
+                        factors,
+                        &policy,
+                        None,
+                        f64::INFINITY,
+                        None,
+                    )
+                    .unwrap();
+                assert_eq!(
+                    fingerprint(&cut),
+                    fingerprint(&full),
+                    "adaptive at {factors:?}"
+                );
+            }
+            assert!(censored > 0, "no need was cut at the horizon ({site:?})");
+        }
+    }
+
+    #[test]
+    fn df_checkpoint_from_other_factors_is_refused() {
+        let study = DfStudy::new(put(), tiny_mc());
+        let calib = study.calibrate().unwrap();
+        let rs = [10e3, 300e3];
+        let written = [0.9, 1.0];
+        let resumed = [0.9, 1.1];
+        let path = tmp("df-factors");
+        let _ = std::fs::remove_file(&path);
+        let spec = study.faulty_checkpoint_spec(&rs, Some((&calib, &written)));
+        {
+            let ck = Checkpoint::create(&path, spec).unwrap();
+            study
+                .coverage_durable(&calib, &rs, &written, &CancelToken::new(), Some(&ck))
+                .unwrap();
+        }
+        let other = study.faulty_checkpoint_spec(&rs, Some((&calib, &resumed)));
+        assert_ne!(spec, other, "the horizon must be part of the spec");
+        assert!(matches!(
+            Checkpoint::<Vec<f64>>::resume(&path, other),
+            Err(CoreError::Checkpoint { .. })
+        ));
+        // Opened under the old spec and handed to a run at the new
+        // factors: refused before any row is read.
+        let ck = Checkpoint::open(&path, spec).unwrap();
+        let err = study
+            .coverage_durable(&calib, &rs, &resumed, &CancelToken::new(), Some(&ck))
+            .unwrap_err();
+        assert!(matches!(err, CoreError::Checkpoint { .. }), "{err:?}");
+        // Nor does a raw-needs run take censored rows as exact ones.
+        let err = study
+            .try_faulty_needs_durable(&rs, &CancelToken::new(), Some(&ck))
+            .unwrap_err();
+        assert!(matches!(err, CoreError::Checkpoint { .. }), "{err:?}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn delay_horizon_is_past_every_tested_clock() {
+        // Soundness of the guard: the smallest delay the horizon cuts
+        // still gives a need above the largest tested clock, over clocks
+        // and flop overheads that straddle binade boundaries.
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x6a4d);
+        for _ in 0..20_000 {
+            let t_max = 1e-10 + 4e-9 * rng.random::<f64>();
+            let overhead = 5e-10 * rng.random::<f64>();
+            let cut = delay_horizon(t_max, overhead).next_up();
+            assert!(
+                cut + overhead > t_max,
+                "t_max {t_max:e}, overhead {overhead:e}"
+            );
+        }
+        assert_eq!(delay_horizon(f64::INFINITY, 1e-10), f64::INFINITY);
+        assert_eq!(delay_horizon(f64::NAN, 1e-10), f64::INFINITY);
+        assert_eq!(delay_horizon(-1e-9, 1e-10), 0.0);
+        let cal = DfCalibration { t0: 8e-10 };
+        assert_eq!(clock_horizon(&cal, &[]), f64::INFINITY);
+        assert_eq!(clock_horizon(&cal, &[f64::NAN]), f64::INFINITY);
+        assert_eq!(clock_horizon(&cal, &[0.9, f64::NAN, 1.1]), 1.1 * 8e-10);
     }
 
     #[test]

@@ -114,7 +114,7 @@ fn adaptive_resume_from_truncated_checkpoint_is_bit_identical() {
         .coverage_adaptive(&c, &RS, &FACTORS, &policy, None)
         .expect("uninterrupted adaptive run");
 
-    let spec = study.adaptive_checkpoint_spec(&RS, &FACTORS, &policy, None);
+    let spec = study.adaptive_checkpoint_spec(&c, &RS, &FACTORS, &policy, None);
     let path = fresh_ckpt("adaptive");
     {
         let ck = Checkpoint::create(&path, spec).expect("create checkpoint");
@@ -258,7 +258,7 @@ fn warm_start_and_mismatched_crossover_are_rejected() {
 fn checkpoint_spec_must_reserve_the_refinement_record_space() {
     let study = df_study(1);
     let policy = loose_policy();
-    let spec = study.adaptive_checkpoint_spec(&RS, &FACTORS, &policy, None);
+    let spec = study.adaptive_checkpoint_spec(&calib(), &RS, &FACTORS, &policy, None);
     assert_eq!(spec.samples, 3 * policy.max_samples);
     // A spec sized like a plain fixed-budget run is refused outright.
     let bad = CheckpointSpec {

@@ -8,7 +8,7 @@ use pulsar_analog::{FaultKind, FaultPlan, Polarity};
 use pulsar_cells::{PathSpec, Tech};
 use pulsar_core::{DefectKind, McConfig, PathUnderTest, PulseStudy, ResilienceConfig};
 use pulsar_mc::MonteCarlo;
-use pulsar_obs::{json, render_journal, Counter, HistId, Recorder};
+use pulsar_obs::{json, render_journal, Counter, HistId, Phase, Recorder};
 
 fn put() -> PathUnderTest {
     PathUnderTest {
@@ -122,4 +122,25 @@ fn journal_reconstructs_retries_escalation_and_failure_kinds() {
     for line in journal.lines() {
         json::parse(line).expect("journal line must parse as JSON");
     }
+}
+
+#[test]
+fn pulse_calibration_records_the_nominal_transfer_sweep() {
+    // Calibration runs the nominal transfer-curve sweep and then one
+    // width measurement per fault-free sample: every one of those
+    // transients must reach the study's recorder.
+    let rec = Recorder::enabled();
+    let mc = McConfig {
+        threads: Some(2),
+        obs: rec.clone(),
+        ..McConfig::paper(8, SEED)
+    };
+    let study = PulseStudy::new(put(), mc, Polarity::PositiveGoing);
+    study.calibrate().expect("calibration");
+    let sweep_points = study.sweep.2 as u64;
+    assert_eq!(
+        rec.snapshot().span_count(Phase::TransientStepLoop),
+        sweep_points + 8,
+        "one transient per sweep point plus one per sample"
+    );
 }

@@ -116,6 +116,12 @@ impl MonteCarlo {
         self
     }
 
+    /// Worker threads a run over the samples fans out to: the configured
+    /// count, capped at the sample count (at least 1).
+    pub fn threads(&self) -> usize {
+        self.threads.min(self.n).max(1)
+    }
+
     /// Number of samples.
     pub fn samples(&self) -> usize {
         self.n
@@ -448,8 +454,16 @@ mod tests {
     #[test]
     fn zero_threads_clamps_to_sequential() {
         let mc = MonteCarlo::new(8, 3).with_threads(0);
+        assert_eq!(mc.threads(), 1);
         let out = mc.run(|i, _| i);
         assert_eq!(out, (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn reported_threads_are_capped_at_the_sample_count() {
+        assert_eq!(MonteCarlo::new(3, 1).with_threads(8).threads(), 3);
+        assert_eq!(MonteCarlo::new(64, 1).with_threads(4).threads(), 4);
+        assert_eq!(MonteCarlo::new(0, 1).with_threads(4).threads(), 1);
     }
 
     /// A deterministic fallible workload: samples whose index is in

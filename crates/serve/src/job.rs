@@ -512,7 +512,11 @@ fn run_study(
                 },
             );
 
-            let ck = open_checkpoint(spool, job.digest, study.faulty_checkpoint_spec(rs))?;
+            let ck = open_checkpoint(
+                spool,
+                job.digest,
+                study.faulty_checkpoint_spec(rs, Some((&calib, factors))),
+            )?;
             let (curves, _failures) =
                 study.coverage_durable(&calib, rs, factors, &job.token, ck.as_ref())?;
             check_cancelled(job)?;

@@ -32,7 +32,7 @@ pub fn calibrate_inverter(tech: &Tech) -> Result<GateTimingModel, Error> {
     // Per-stage delays. Over an odd chain, a rising PI edge produces
     // ceil(n/2) falling and floor(n/2) rising output edges.
     let d_rise_pi = chain
-        .propagate_transition(Edge::Rising, None)?
+        .propagate_transition(Edge::Rising, f64::INFINITY, None)?
         .delay
         .ok_or(Error::NoConvergence {
             context: "calibration delay",
@@ -40,7 +40,7 @@ pub fn calibrate_inverter(tech: &Tech) -> Result<GateTimingModel, Error> {
             time: 0.0,
         })?;
     let d_fall_pi = chain
-        .propagate_transition(Edge::Falling, None)?
+        .propagate_transition(Edge::Falling, f64::INFINITY, None)?
         .delay
         .ok_or(Error::NoConvergence {
             context: "calibration delay",
@@ -167,7 +167,7 @@ mod tests {
         let spec = PathSpec::inverter_chain(5);
         let mut chain = BuiltPath::new(&spec, &PathFault::None, &vec![tech; 5]);
         let d_e = chain
-            .propagate_transition(Edge::Rising, None)
+            .propagate_transition(Edge::Rising, f64::INFINITY, None)
             .unwrap()
             .delay
             .unwrap();

@@ -25,7 +25,7 @@ fn main() -> Result<(), CoreError> {
     // Fault-free reference: path delay and surviving pulse width.
     let techs = vec![put.tech; put.spec.len()];
     let mut clean = put.instantiate_fault_free(&techs);
-    let d0 = clean.worst_delay()?;
+    let d0 = clean.worst_delay(f64::INFINITY)?;
     let w_in = 320e-12;
     let w0 = clean.pulse_width_out(w_in, Polarity::PositiveGoing)?;
 
@@ -57,7 +57,7 @@ fn main() -> Result<(), CoreError> {
     let mut path = put.instantiate_nominal(1e3);
     for r in [1.5e3, 2.5e3, 4e3, 6e3, 10e3, 20e3] {
         path.set_resistance(r)?;
-        let d = path.worst_delay()?;
+        let d = path.worst_delay(f64::INFINITY)?;
         let w = path.pulse_width_out(w_in, Polarity::PositiveGoing)?;
         let df = df_detects(t_test, d, ff);
         let pulse = w < w_th;

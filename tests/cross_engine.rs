@@ -31,7 +31,7 @@ fn calibrated_delay_tracks_the_electrical_reference() {
     let mut elec = electrical_chain(7, PathFault::None);
     for edge in [Edge::Rising, Edge::Falling] {
         let d_e = elec
-            .propagate_transition(edge, None)
+            .propagate_transition(edge, f64::INFINITY, None)
             .unwrap()
             .delay
             .unwrap();
@@ -136,12 +136,12 @@ fn engines_agree_on_one_edge_rop_asymmetry() {
         },
     );
     let de_r = elec
-        .propagate_transition(Edge::Rising, None)
+        .propagate_transition(Edge::Rising, f64::INFINITY, None)
         .unwrap()
         .delay
         .unwrap();
     let de_f = elec
-        .propagate_transition(Edge::Falling, None)
+        .propagate_transition(Edge::Falling, f64::INFINITY, None)
         .unwrap()
         .delay
         .unwrap();
@@ -155,8 +155,8 @@ fn engines_agree_on_one_edge_rop_asymmetry() {
         }),
         r,
     );
-    let dm_r = model.delay(Edge::Rising).unwrap();
-    let dm_f = model.delay(Edge::Falling).unwrap();
+    let dm_r = model.delay(Edge::Rising, f64::INFINITY).unwrap();
+    let dm_f = model.delay(Edge::Falling, f64::INFINITY).unwrap();
 
     assert!(
         de_r > de_f + 100e-12,
